@@ -160,7 +160,8 @@ int main(int argc, char** argv) {
         << "    \"block_decode_mbps\": " << block_mbps << ",\n"
         << "    \"varint_decode_mbps\": " << varint_mbps << ",\n"
         << "    \"decode_speedup\": "
-        << (varint_mbps > 0.0 ? block_mbps / varint_mbps : 0.0) << "\n"
+        << (varint_mbps > 0.0 ? block_mbps / varint_mbps : 0.0) << ",\n"
+        << "    \"build_flavour\": \"" << CCA_BUILD_FLAVOUR << "\"\n"
         << "  }\n}\n";
     std::cout << "\nwrote " << json_cells.size() << " cells to "
               << cfg.json_path << "\n";

@@ -13,7 +13,11 @@ Two modes:
       decode throughput must be at least (1 - TOLERANCE) of the
       committed baseline's. A missing baseline file SKIPS the gate
       (exit 0 with a notice) so fresh checkouts and new platforms pass
-      until a baseline is committed.
+      until a baseline is committed. So does a baseline of another
+      build flavour (data_plane.build_flavour: release, debug or
+      sanitize-<kind>): an instrumented build decodes several times
+      slower than the release build the committed baseline comes from,
+      so absolute MB/s only compare within one flavour.
 
 The gate only watches block_decode_mbps: wall-clock latency cells vary
 with machine load, but a >20% drop in pure decode throughput on the same
@@ -22,8 +26,9 @@ plane must not do. Identical binaries still jitter ~25% run-to-run on a
 loaded shared box, so regenerate the committed baseline from the SLOWEST
 of several runs — the gate then only fires on real regressions, not on a
 noisy sample. The schema check additionally enforces the load-invariant
-floor decode_speedup >= MIN_SPEEDUP (both codecs are timed in the same
-process, so their ratio cancels machine load).
+floor decode_speedup >= MIN_SPEEDUP in every flavour (both codecs are
+timed in the same process, so their ratio cancels machine load and
+instrumentation alike).
 """
 import json
 import os
@@ -38,7 +43,7 @@ CELL_KEYS = {
 }
 DATA_PLANE_KEYS = {
     "codec_default", "block_decode_mbps", "varint_decode_mbps",
-    "decode_speedup",
+    "decode_speedup", "build_flavour",
 }
 
 
@@ -84,7 +89,8 @@ def main(argv):
     plane = fresh["data_plane"]
     print(f"{len(fresh['cells'])} cells; block {plane['block_decode_mbps']:.0f}"
           f" MB/s, varint {plane['varint_decode_mbps']:.0f} MB/s, "
-          f"speedup {plane['decode_speedup']:.2f}x")
+          f"speedup {plane['decode_speedup']:.2f}x ({plane['build_flavour']} "
+          f"build)")
 
     if baseline_path is None:
         return
@@ -92,7 +98,13 @@ def main(argv):
         print(f"no committed baseline at {baseline_path}; skipping the "
               f"regression gate")
         return
-    base = load(baseline_path)["data_plane"]["block_decode_mbps"]
+    base_plane = load(baseline_path)["data_plane"]
+    if base_plane["build_flavour"] != plane["build_flavour"]:
+        print(f"baseline is a {base_plane['build_flavour']} build, this is "
+              f"a {plane['build_flavour']} build; skipping the absolute "
+              f"decode gate (the speedup floor still holds)")
+        return
+    base = base_plane["block_decode_mbps"]
     floor = (1.0 - TOLERANCE) * base
     got = plane["block_decode_mbps"]
     if got < floor:

@@ -1,7 +1,6 @@
 #include "core/correlation.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -86,19 +85,24 @@ std::vector<KeywordHyperedge> build_hyperedges(
     const trace::QueryTrace& trace) {
   // Queries arrive with sorted distinct keywords (QueryTrace::add_query
   // canonicalizes), so the keyword vector itself is the aggregation key.
-  // std::map keeps the output deterministically sorted by pin set.
-  std::map<std::vector<trace::KeywordId>, std::size_t> counts;
-  for (const trace::Query& q : trace.queries()) {
-    if (q.size() < 2) continue;
-    ++counts[q.keywords];
-  }
+  // Sorting the multi-keyword queries by pin set and counting equal runs
+  // keeps the output deterministically sorted by pin set.
+  std::vector<const std::vector<trace::KeywordId>*> sets;
+  sets.reserve(trace.size());
+  for (const trace::Query& q : trace.queries())
+    if (q.size() >= 2) sets.push_back(&q.keywords);
+  std::sort(sets.begin(), sets.end(),
+            [](const auto* a, const auto* b) { return *a < *b; });
   std::vector<KeywordHyperedge> out;
-  out.reserve(counts.size());
   const double rate_unit =
       trace.empty() ? 0.0 : 1.0 / static_cast<double>(trace.size());
-  for (auto& [pins, count] : counts)
-    out.push_back(
-        KeywordHyperedge{pins, static_cast<double>(count) * rate_unit});
+  for (std::size_t i = 0; i < sets.size();) {
+    std::size_t j = i + 1;
+    while (j < sets.size() && *sets[j] == *sets[i]) ++j;
+    out.push_back(KeywordHyperedge{
+        *sets[i], static_cast<double>(j - i) * rate_unit});
+    i = j;
+  }
   return out;
 }
 

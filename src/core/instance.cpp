@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "common/check.hpp"
 
@@ -61,7 +60,10 @@ void CcaInstance::add_resource(Resource resource) {
 
 void CcaInstance::set_hyperedges(std::vector<Hyperedge> edges) {
   // Canonicalize: sorted distinct pins, >= 2 of them, merged duplicates.
-  std::map<std::vector<ObjectId>, double> merged;
+  // A stable sort by pin set keeps duplicates in input order, so merged
+  // weights are summed in input order and the edges end up sorted by pins.
+  std::vector<Hyperedge*> kept;
+  kept.reserve(edges.size());
   for (Hyperedge& e : edges) {
     CCA_CHECK_MSG(e.weight >= 0.0 && std::isfinite(e.weight),
                   "bad hyperedge weight " << e.weight);
@@ -72,12 +74,19 @@ void CcaInstance::set_hyperedges(std::vector<Hyperedge> edges) {
                     "hyperedge pin " << pin << " outside [0, "
                                      << num_objects() << ")");
     if (e.pins.size() < 2 || e.weight <= 0.0) continue;
-    merged[std::move(e.pins)] += e.weight;
+    kept.push_back(&e);
   }
+  std::stable_sort(kept.begin(), kept.end(),
+                   [](const Hyperedge* a, const Hyperedge* b) {
+                     return a->pins < b->pins;
+                   });
   hyperedges_.clear();
-  hyperedges_.reserve(merged.size());
-  for (auto& [pins, weight] : merged)
-    hyperedges_.push_back(Hyperedge{pins, weight});
+  for (Hyperedge* e : kept) {
+    if (!hyperedges_.empty() && hyperedges_.back().pins == e->pins)
+      hyperedges_.back().weight += e->weight;
+    else
+      hyperedges_.push_back(std::move(*e));
+  }
 }
 
 double CcaInstance::connectivity_cost(const Placement& placement) const {

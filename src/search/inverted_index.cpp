@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "search/query_profile.hpp"
 
 namespace cca::search {
 
@@ -77,6 +78,8 @@ PostingList unite(const PostingList& a, const PostingList& b) {
   unite_into(a.ids().data(), a.size(), b.ids().data(), b.size(), out);
   return PostingList(std::move(out));
 }
+
+InvertedIndex::InvertedIndex() : profiles_(make_profile_cache()) {}
 
 InvertedIndex InvertedIndex::build(const trace::Corpus& corpus) {
   InvertedIndex index;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "trace/documents.hpp"
@@ -51,9 +52,16 @@ void unite_into(const std::uint64_t* a, std::size_t na,
                 const std::uint64_t* b, std::size_t nb,
                 std::vector<std::uint64_t>& out);
 
-/// Keyword -> posting-list map over a fixed vocabulary.
+class ProfileCache;
+
+/// Keyword -> posting-list map over a fixed vocabulary. Immutable once
+/// built; it also owns the bounded memo of QueryProfiles evaluated against
+/// it (search/query_profile.hpp), which copies share — equal contents give
+/// equal profiles.
 class InvertedIndex {
  public:
+  InvertedIndex();
+
   /// Builds the index for every vocabulary keyword of `corpus`.
   static InvertedIndex build(const trace::Corpus& corpus);
 
@@ -67,7 +75,10 @@ class InvertedIndex {
   std::uint64_t total_bytes() const;
 
  private:
+  friend class QueryProfile;
+
   std::vector<PostingList> lists_;
+  std::shared_ptr<ProfileCache> profiles_;
 };
 
 }  // namespace cca::search

@@ -82,6 +82,35 @@ std::uint64_t QueryEngine::bytes_of(trace::KeywordId k) const {
                                 : keyword_bytes_[k];
 }
 
+int QueryEngine::bloom_first_step(const core::ReplicaSet& small,
+                                  const core::ReplicaSet& large,
+                                  std::uint64_t ship_bytes,
+                                  std::uint64_t filter_bytes,
+                                  std::uint64_t survivors, QueryCost& cost,
+                                  TransferObserverRef observer) {
+  const std::uint64_t bloom_bytes = filter_bytes + 8 * survivors;
+  const bool bloom = bloom_bytes < ship_bytes;
+  if (common::metrics_enabled()) {
+    SearchMetrics& m = SearchMetrics::get();
+    if (bloom) {
+      m.bloom_wins.add();
+      m.bloom_saved_bytes.add(
+          static_cast<std::int64_t>(ship_bytes - bloom_bytes));
+    } else {
+      m.bloom_classic.add();
+    }
+  }
+  if (!bloom) {
+    charge_transfer(cost, observer, small.primary, large.primary, ship_bytes);
+    return large.primary;
+  }
+  // Filter out, survivors back; the query finishes at the small list.
+  charge_transfer(cost, observer, small.primary, large.primary, filter_bytes);
+  charge_transfer(cost, observer, large.primary, small.primary,
+                  8 * survivors);
+  return small.primary;
+}
+
 void QueryEngine::size_keywords(const trace::Query& query, QueryScratch& s,
                                 bool sorted) const {
   s.order_.clear();
@@ -147,21 +176,11 @@ QueryCost QueryEngine::execute_intersection(const trace::Query& query,
   // primary (full-degree sets live everywhere), which makes the step free.
   const core::ReplicaSet set0 = placement(order[0].id);
   const core::ReplicaSet set1 = placement(order[1].id);
-  int current_node;
-  if (set1.everywhere()) {
-    current_node = set0.everywhere() ? 0 : set0.primary;
-  } else if (set0.everywhere() || set0.contains(set1.primary)) {
-    current_node = set1.primary;
-  } else if (set1.contains(set0.primary)) {
-    current_node = set0.primary;
-  } else {
-    current_node = set1.primary;
-    const std::uint64_t shipped = order[0].bytes;
-    cost.bytes_transferred += shipped;
-    ++cost.messages;
-    cost.local = false;
-    if (observer) observer(set0.primary, current_node, shipped);
-  }
+  const FirstStep first = first_step(set0, set1);
+  int current_node = first.node;
+  if (first.ships)
+    charge_transfer(cost, observer, set0.primary, current_node,
+                    order[0].bytes);
   first_intersection(order[0].id, order[1].id, s);
 
   // Step 2: fold in the remaining keywords; the running intersection
@@ -170,15 +189,8 @@ QueryCost QueryEngine::execute_intersection(const trace::Query& query,
   std::vector<std::uint64_t>* run = &s.run_a_.vec();
   std::vector<std::uint64_t>* other = &s.run_b_.vec();
   for (std::size_t t = 2; t < order.size(); ++t) {
-    const core::ReplicaSet set = placement(order[t].id);
-    const std::uint64_t running_bytes = 8 * run->size();
-    if (!set.contains(current_node)) {
-      cost.bytes_transferred += running_bytes;
-      ++cost.messages;
-      cost.local = false;
-      if (observer) observer(current_node, set.primary, running_bytes);
-      current_node = set.primary;
-    }
+    current_node = running_result_step(placement(order[t].id), current_node,
+                                       8 * run->size(), cost, observer);
     intersect_step(run->data(), run->size(), order[t].id, s, *other);
     std::swap(run, other);
   }
@@ -212,52 +224,21 @@ QueryCost QueryEngine::execute_intersection_bloom(
                  s.list_b_.size(), s.run_a_.vec());
   const core::ReplicaSet small_set = placement(order[0].id);
   const core::ReplicaSet large_set = placement(order[1].id);
-  int current_node;
-  bool apart = false;
-  if (large_set.everywhere()) {
-    current_node = small_set.everywhere() ? 0 : small_set.primary;
-  } else if (small_set.everywhere() || small_set.contains(large_set.primary)) {
-    current_node = large_set.primary;
-  } else if (large_set.contains(small_set.primary)) {
-    current_node = small_set.primary;
-  } else {
-    current_node = large_set.primary;
-    apart = true;
-  }
+  const FirstStep first = first_step(small_set, large_set);
+  int current_node = first.node;
 
-  if (apart) {
-    cost.local = false;
-    // Option A (classic): ship the small list to the large list's node.
-    const std::uint64_t ship_bytes = order[0].bytes;
-    // Option B (Bloom): filter over the small list travels out; the large
-    // list's survivors travel back (8 B each). Exact survivor count from
-    // the actual filter, not the textbook estimate.
+  if (first.ships) {
+    // Classic: ship the small list to the large list's node. Bloom: a
+    // filter over the small list travels out; the large list's survivors
+    // travel back (8 B each). Exact survivor count from the actual
+    // filter, not the textbook estimate.
     const BloomFilter filter = BloomFilter::build(s.list_a_.vec(), bits_per_key);
     std::uint64_t candidates = 0;
     for (std::uint64_t id : s.list_b_.vec())
       if (filter.maybe_contains(id)) ++candidates;
-    const std::uint64_t bloom_bytes = filter.size_bytes() + 8 * candidates;
-
-    if (bloom_bytes < ship_bytes) {
-      cost.bytes_transferred += bloom_bytes;
-      cost.messages += 2;
-      if (observer) {
-        observer(small_set.primary, large_set.primary, filter.size_bytes());
-        observer(large_set.primary, small_set.primary, 8 * candidates);
-      }
-      current_node = small_set.primary;  // candidates returned; finish locally
-      if (common::metrics_enabled()) {
-        SearchMetrics& m = SearchMetrics::get();
-        m.bloom_wins.add();
-        m.bloom_saved_bytes.add(
-            static_cast<std::int64_t>(ship_bytes - bloom_bytes));
-      }
-    } else {
-      cost.bytes_transferred += ship_bytes;
-      ++cost.messages;
-      if (observer) observer(small_set.primary, large_set.primary, ship_bytes);
-      if (common::metrics_enabled()) SearchMetrics::get().bloom_classic.add();
-    }
+    current_node =
+        bloom_first_step(small_set, large_set, order[0].bytes,
+                         filter.size_bytes(), candidates, cost, observer);
   }
 
   // Remaining keywords: the running intersection is already small, so the
@@ -266,15 +247,8 @@ QueryCost QueryEngine::execute_intersection_bloom(
   std::vector<std::uint64_t>* run = &s.run_a_.vec();
   std::vector<std::uint64_t>* other = &s.run_b_.vec();
   for (std::size_t t = 2; t < order.size(); ++t) {
-    const core::ReplicaSet set = placement(order[t].id);
-    const std::uint64_t running_bytes = 8 * run->size();
-    if (!set.contains(current_node)) {
-      cost.bytes_transferred += running_bytes;
-      ++cost.messages;
-      cost.local = false;
-      if (observer) observer(current_node, set.primary, running_bytes);
-      current_node = set.primary;
-    }
+    current_node = running_result_step(placement(order[t].id), current_node,
+                                       8 * run->size(), cost, observer);
     intersect_step(run->data(), run->size(), order[t].id, s, *other);
     std::swap(run, other);
   }
@@ -294,32 +268,18 @@ QueryCost QueryEngine::execute_union(const trace::Query& query,
   QueryScratch& s = scratch ? *scratch : local;
   size_keywords(query, s, /*sorted=*/false);  // union keeps query order
 
-  // Destination: the primary of the largest NOT-fully-replicated object
-  // (Sec. 3.2); full-degree keywords are present everywhere and never
-  // determine or pay for transfers.
-  int dest = -1;
-  std::uint64_t largest_bytes = 0;
-  for (const SizedKeyword& sk : s.order_.vec()) {
-    const core::ReplicaSet set = placement(sk.id);
-    if (set.everywhere()) continue;
-    if (dest < 0 || sk.bytes > largest_bytes) {
-      dest = set.primary;
-      largest_bytes = sk.bytes;
-    }
-  }
-  if (dest < 0) dest = 0;  // everything replicated: free union
+  UnionDestination destination;
+  for (const SizedKeyword& sk : s.order_.vec())
+    destination.consider(placement(sk.id), sk.bytes);
+  const int dest = destination.node();
 
   s.run_a_.clear();
   std::vector<std::uint64_t>* run = &s.run_a_.vec();
   std::vector<std::uint64_t>* other = &s.run_b_.vec();
   for (const SizedKeyword& sk : s.order_.vec()) {
     const core::ReplicaSet set = placement(sk.id);
-    if (!set.contains(dest)) {
-      cost.bytes_transferred += sk.bytes;
-      ++cost.messages;
-      cost.local = false;
-      if (observer) observer(set.primary, dest, sk.bytes);
-    }
+    if (!set.contains(dest))
+      charge_transfer(cost, observer, set.primary, dest, sk.bytes);
     decode_full(sk.id, s.list_a_.vec());
     unite_into(run->data(), run->size(), s.list_a_.data(), s.list_a_.size(),
                *other);

@@ -60,6 +60,72 @@ struct SizedKeyword {
   trace::KeywordId id = 0;
 };
 
+/// Where the first intersection step (the two smallest lists) runs: at
+/// the larger list's primary, unless some replica of one already lives at
+/// the other's primary (full-degree sets live everywhere), which makes the
+/// step free. `ships` is true when the smaller list must travel to `node`.
+struct FirstStep {
+  int node = 0;
+  bool ships = false;
+};
+inline FirstStep first_step(const core::ReplicaSet& small,
+                            const core::ReplicaSet& large) {
+  if (large.everywhere())
+    return {small.everywhere() ? 0 : small.primary, false};
+  if (small.everywhere() || small.contains(large.primary))
+    return {large.primary, false};
+  if (large.contains(small.primary)) return {small.primary, false};
+  return {large.primary, true};
+}
+
+/// Charges one inter-node transfer of `bytes` to `cost` and reports it to
+/// the observer.
+inline void charge_transfer(QueryCost& cost, TransferObserverRef observer,
+                            int from, int to, std::uint64_t bytes) {
+  cost.bytes_transferred += bytes;
+  ++cost.messages;
+  cost.local = false;
+  if (observer) observer(from, to, bytes);
+}
+
+/// One later intersection step (third keyword onwards): the running
+/// result, `running_bytes` on the wire, travels from `current_node` to the
+/// keyword's primary unless some replica of `set` already lives at
+/// `current_node`. Returns the node the step runs at.
+inline int running_result_step(const core::ReplicaSet& set, int current_node,
+                               std::uint64_t running_bytes, QueryCost& cost,
+                               TransferObserverRef observer) {
+  if (set.contains(current_node)) return current_node;
+  charge_transfer(cost, observer, current_node, set.primary, running_bytes);
+  return set.primary;
+}
+
+/// A union's destination (Sec. 3.2), folded over its keywords in query
+/// order: the primary of the largest not-fully-replicated list, the first
+/// one on ties. Full-degree keywords are present everywhere and never
+/// determine or pay for transfers; when every keyword is, the union is
+/// free and runs at node 0.
+class UnionDestination {
+ public:
+  void consider(const core::ReplicaSet& set, std::uint64_t bytes) {
+    if (set.everywhere()) return;
+    if (node_ < 0 || bytes > largest_bytes_) {
+      node_ = set.primary;
+      largest_bytes_ = bytes;
+    }
+  }
+  int node() const { return node_ < 0 ? 0 : node_; }
+
+ private:
+  int node_ = -1;
+  std::uint64_t largest_bytes_ = 0;
+};
+
+/// Bloom filter density (bits per posting) of the replayed Bloom
+/// intersection (OperationKind::kIntersectionBloom) and the default of
+/// QueryEngine::execute_intersection_bloom.
+inline constexpr double kDefaultBloomBitsPerKey = 8.0;
+
 /// Reusable per-shard execution state: the intersection ping-pong
 /// buffers, full-decode scratch, execution order, and the decoded-block
 /// cache. One instance per replay shard (not thread-safe); reserve() once
@@ -87,6 +153,7 @@ class QueryScratch {
 
  private:
   friend class QueryEngine;
+  friend class QueryProfile;
   common::ScratchArena<SizedKeyword> order_;  // (bytes, id) execution order
   common::ScratchArena<std::uint64_t> run_a_;  // running-result ping-pong pair
   common::ScratchArena<std::uint64_t> run_b_;
@@ -133,7 +200,8 @@ class QueryEngine {
   /// not allocation-free.)
   QueryCost execute_intersection_bloom(
       const trace::Query& query, PlacementRef placement,
-      double bits_per_key = 8.0, TransferObserverRef observer = {},
+      double bits_per_key = kDefaultBloomBitsPerKey,
+      TransferObserverRef observer = {},
       QueryScratch* scratch = nullptr) const;
 
   /// The execution-side compressed index (built at construction).
@@ -142,6 +210,8 @@ class QueryEngine {
   std::size_t max_postings() const { return compressed_.max_postings(); }
 
  private:
+  friend class QueryProfile;  // runs the placement-free half of execute_*
+
   std::uint64_t bytes_of(trace::KeywordId k) const;
 
   /// Fills s.order_ with (bytes, id) per keyword — the single sizing
@@ -149,6 +219,18 @@ class QueryEngine {
   /// (bytes, id) when `sorted`; query order otherwise (union path).
   void size_keywords(const trace::Query& query, QueryScratch& s,
                      bool sorted) const;
+
+  /// The remote first step of the Bloom intersection: charges whichever
+  /// is cheaper — the small list (`ship_bytes`) to the large list's
+  /// primary, or a filter over it (`filter_bytes`) out and the large
+  /// list's `survivors` (8 B each) back — and records the choice in the
+  /// search.bloom.* metrics. Returns the node the query continues at.
+  static int bloom_first_step(const core::ReplicaSet& small,
+                              const core::ReplicaSet& large,
+                              std::uint64_t ship_bytes,
+                              std::uint64_t filter_bytes,
+                              std::uint64_t survivors, QueryCost& cost,
+                              TransferObserverRef observer);
 
   /// Decodes keyword k's full list into `out` under the active codec.
   void decode_full(trace::KeywordId k, std::vector<std::uint64_t>& out) const;

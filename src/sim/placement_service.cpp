@@ -179,18 +179,18 @@ ServiceReplayStats replay_trace_with_service(
 
   // Replays [begin, end) on the current epoch; queries that arrived under
   // this epoch finish on it even though later events have already been
-  // scripted.
+  // scripted. Segments are ranges of `trace` itself, so every epoch (and
+  // every later run over the same trace and index) walks one memoised
+  // QueryProfile.
   const auto replay_segment = [&](std::size_t begin, std::size_t end) {
     if (begin >= end) return;
-    trace::QueryTrace segment(trace.vocabulary_size());
-    for (std::size_t q = begin; q < end; ++q)
-      segment.add_query(queries[q].keywords);
     Cluster cluster(map->num_nodes(), config.capacity_slack *
                                           total_index_bytes /
                                           map->num_nodes());
     cluster.install_placement(map, sizes);
-    const ReplayStats seg = replay_trace(cluster, index, segment, config.kind,
-                                         {}, config.latency, &capture);
+    const ReplayStats seg =
+        replay_trace(cluster, index, trace, config.kind, {}, config.latency,
+                     &capture, QueryRange{begin, end});
     stats.base.queries += seg.queries;
     stats.base.multi_keyword_queries += seg.multi_keyword_queries;
     stats.base.local_queries += seg.local_queries;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "common/check.hpp"
@@ -21,9 +22,9 @@ namespace {
 /// load-balance a 40k-query default trace across a pool.
 constexpr std::size_t kShardGrain = 1024;
 
-/// Widest query in the trace — the up-front reserve for per-shard scratch
-/// (execution order, fault sub-query buffers), so the shard loops never
-/// grow a buffer mid-query.
+/// Widest query in the trace — the up-front reserve for the fault
+/// replay's per-shard scratch (sub-query buffers, live execution), so the
+/// shard loop never grows a buffer mid-query.
 std::size_t max_query_width(const std::vector<trace::Query>& queries) {
   std::size_t width = 0;
   for (const trace::Query& q : queries) width = std::max(width, q.size());
@@ -42,14 +43,16 @@ struct Shard {
 ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
                          const trace::QueryTrace& trace, OperationKind kind,
                          std::vector<std::uint64_t> keyword_bytes,
-                         const LatencyModel& latency, ReplayCapture* capture) {
-  const search::QueryEngine engine =
-      keyword_bytes.empty()
-          ? search::QueryEngine(index)
-          : search::QueryEngine(index, std::move(keyword_bytes));
+                         const LatencyModel& latency, ReplayCapture* capture,
+                         QueryRange range) {
   const std::vector<trace::Query>& queries = trace.queries();
+  range.end = std::min(range.end, queries.size());
+  CCA_CHECK_MSG(range.begin <= range.end,
+                "query range starts at " << range.begin << ", past its end "
+                                         << range.end);
+  const std::shared_ptr<const search::QueryProfile> profile =
+      search::QueryProfile::of(index, trace, kind, keyword_bytes);
   const bool parallel_fanout = kind == OperationKind::kUnion;
-  const std::size_t max_width = max_query_width(queries);
 
   // The trace is sharded across the pool. Each shard replays its query
   // range with a private ClusterDelta and private per-query vectors; the
@@ -57,10 +60,12 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
   // by merging the deltas in shard order after the join. Per-query values
   // concatenate back into trace order, so means and percentiles are
   // bit-identical to a sequential replay for any thread count.
-  const auto chunks = common::chunk_ranges(queries.size(), kShardGrain);
+  const auto chunks =
+      common::chunk_ranges(range.end - range.begin, kShardGrain);
   std::vector<Shard> shards(chunks.size());
   common::parallel_for(0, chunks.size(), 1, [&](std::size_t c) {
-    const auto [begin, end] = chunks[c];
+    const std::size_t begin = range.begin + chunks[c].first;
+    const std::size_t end = range.begin + chunks[c].second;
     Shard& shard = shards[c];
     shard.delta = ClusterDelta(cluster.num_nodes());
     shard.per_query_bytes.reserve(end - begin);
@@ -70,12 +75,6 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
     const auto placement = [&map](trace::KeywordId k) {
       return map.resolve(k);
     };
-    // Shard-owned execution scratch: decoded-block cache bound to this
-    // placement epoch plus reusable intersection buffers, so the query
-    // loop below is allocation-free once warm.
-    search::QueryScratch scratch;
-    scratch.reserve(max_width, engine.max_postings());
-    scratch.begin_epoch(map.cache_token());
     // Per-query latency accumulates through the observer: transfers
     // arrive in plan order, summed for sequential intersection steps and
     // maxed for the union fan-out.
@@ -90,21 +89,7 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
     for (std::size_t q = begin; q < end; ++q) {
       const trace::Query& query = queries[q];
       query_latency = 0.0;
-      search::QueryCost cost;
-      switch (kind) {
-        case OperationKind::kIntersection:
-          cost = engine.execute_intersection(query, placement, observer,
-                                             &scratch);
-          break;
-        case OperationKind::kIntersectionBloom:
-          cost = engine.execute_intersection_bloom(query, placement,
-                                                   /*bits_per_key=*/8.0,
-                                                   observer, &scratch);
-          break;
-        case OperationKind::kUnion:
-          cost = engine.execute_union(query, placement, observer, &scratch);
-          break;
-      }
+      const search::QueryCost cost = profile->walk(q, placement, observer);
       ++shard.partial.queries;
       if (query.size() >= 2) {
         ++shard.partial.multi_keyword_queries;
@@ -121,8 +106,8 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
   ReplayStats stats;
   std::vector<double> per_query_bytes;
   std::vector<double> per_query_latency;
-  per_query_bytes.reserve(queries.size());
-  per_query_latency.reserve(queries.size());
+  per_query_bytes.reserve(range.end - range.begin);
+  per_query_latency.reserve(range.end - range.begin);
   for (Shard& shard : shards) {
     stats.queries += shard.partial.queries;
     stats.multi_keyword_queries += shard.partial.multi_keyword_queries;
@@ -226,6 +211,9 @@ FaultReplayStats replay_trace_with_faults(Cluster& cluster,
                                            << " nodes, cluster has "
                                            << cluster.num_nodes());
 
+  const std::shared_ptr<const search::QueryProfile> profile =
+      search::QueryProfile::of(index, trace, config.kind);
+  // Degraded queries execute live on their served sub-query.
   const search::QueryEngine engine(index);
   const core::PlacementMap& map = cluster.map();
   const std::vector<trace::Query>& queries = trace.queries();
@@ -334,7 +322,9 @@ FaultReplayStats replay_trace_with_faults(Cluster& cluster,
 
       query_latency = 0.0;
       search::QueryCost cost;
-      if (!sub.keywords.empty()) {
+      if (sub.keywords.size() == query.size()) {
+        cost = profile->walk(q, placement, observer);
+      } else if (!sub.keywords.empty()) {
         switch (config.kind) {
           case OperationKind::kIntersection:
             cost = engine.execute_intersection(sub, placement, observer,
@@ -342,7 +332,8 @@ FaultReplayStats replay_trace_with_faults(Cluster& cluster,
             break;
           case OperationKind::kIntersectionBloom:
             cost = engine.execute_intersection_bloom(
-                sub, placement, /*bits_per_key=*/8.0, observer, &scratch);
+                sub, placement, search::kDefaultBloomBitsPerKey, observer,
+                &scratch);
             break;
           case OperationKind::kUnion:
             cost = engine.execute_union(sub, placement, observer, &scratch);

@@ -6,10 +6,13 @@
 // residual shipments, out-of-scope keywords, model/reality size skew).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "search/query_engine.hpp"
+#include "search/query_profile.hpp"
 #include "sim/cluster.hpp"
 #include "sim/faults.hpp"
 #include "sim/latency.hpp"
@@ -17,7 +20,7 @@
 
 namespace cca::sim {
 
-enum class OperationKind { kIntersection, kIntersectionBloom, kUnion };
+using OperationKind = search::OperationKind;
 
 struct ReplayStats {
   std::size_t queries = 0;
@@ -37,6 +40,13 @@ struct ReplayStats {
   double storage_imbalance = 0.0;
 };
 
+/// Half-open range [begin, end) of a trace's query indices; the default
+/// covers the whole trace (`end` is clamped to the trace's size).
+struct QueryRange {
+  std::size_t begin = 0;
+  std::size_t end = std::numeric_limits<std::size_t>::max();
+};
+
 /// Optional raw per-query series, in trace order. The placement service
 /// replays a churned trace as several epoch segments and needs the raw
 /// values to compute whole-run percentiles exactly (percentiles do not
@@ -52,6 +62,18 @@ struct ReplayCapture {
 /// on-the-wire posting-list sizes (e.g. compressed sizes) — see
 /// search::QueryEngine.
 ///
+/// Profile-once: the trace's placement-independent execution (keyword
+/// order, shipped sizes, result sizes) comes from search::QueryProfile::of
+/// — built on the first replay of this (index, trace content, kind,
+/// keyword_bytes) and memoised by `index` — so a replay runs no
+/// intersection, only a placement walk per query. Costs and observer
+/// traffic are exactly the live QueryEngine::execute_* ones.
+///
+/// `range` replays only those trace queries: the stats, the capture and
+/// the cluster's traffic cover the range alone, while the profile stays
+/// the whole trace's, so replaying one trace in segments (the placement
+/// service's epochs) shares a single memoised profile.
+///
 /// Execution shards the trace across the common::parallel pool: each shard
 /// replays with a private ClusterDelta and per-query vectors, merged in
 /// shard order after the join. Every reported statistic is bit-identical
@@ -63,7 +85,8 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
                          OperationKind kind = OperationKind::kIntersection,
                          std::vector<std::uint64_t> keyword_bytes = {},
                          const LatencyModel& latency = LatencyModel{},
-                         ReplayCapture* capture = nullptr);
+                         ReplayCapture* capture = nullptr,
+                         QueryRange range = {});
 
 // ---------------------------------------------------------------------------
 // Failure-aware replay.
@@ -115,7 +138,9 @@ struct FaultReplayStats {
 /// order, charging `config.retry` for every dead contact; keywords with
 /// no reachable replica within the attempt budget are dropped from the
 /// query, which then returns a PARTIAL result over the remaining
-/// keywords. Bytes are charged for the executed sub-query only.
+/// keywords. Bytes are charged for the executed sub-query only: fully
+/// served queries walk the trace's memoised QueryProfile with the
+/// fault-resolved replica sets; only degraded ones execute live.
 ///
 /// Liveness is evaluated at the query's arrival instant (transitions
 /// mid-query are not modelled). Sharded like replay_trace: bit-identical

@@ -46,9 +46,9 @@ TEST(BlockParallel, ReplayBitIdenticalAcrossThreadsAndCodecs) {
   ccfg.vocabulary_size = 300;
   ccfg.mean_distinct_words = 40.0;
   ccfg.seed = 17;
-  const search::InvertedIndex index =
-      search::InvertedIndex::build(trace::Corpus::generate(ccfg));
-  const std::vector<std::uint64_t> sizes = index.index_sizes();
+  const trace::Corpus corpus = trace::Corpus::generate(ccfg);
+  const std::vector<std::uint64_t> sizes =
+      search::InvertedIndex::build(corpus).index_sizes();
 
   std::vector<int> placement(sizes.size());
   for (std::size_t k = 0; k < placement.size(); ++k)
@@ -63,6 +63,11 @@ TEST(BlockParallel, ReplayBitIdenticalAcrossThreadsAndCodecs) {
       search::set_default_posting_codec(codec);
       for (int threads : {1, 2, 8}) {
         common::set_global_threads(threads);
+        // A fresh index per run: an index memoises its trace profiles, so
+        // this makes every run build the profile under its own codec and
+        // thread count.
+        const search::InvertedIndex index =
+            search::InvertedIndex::build(corpus);
         sim::Cluster cluster(5, 1e9);
         cluster.install_placement(placement, sizes);
         stats.push_back(sim::replay_trace(cluster, index, trace, kind));
@@ -102,9 +107,9 @@ TEST(BlockParallel, FaultReplayBitIdenticalAcrossThreadsAndCodecs) {
   ccfg.vocabulary_size = 200;
   ccfg.mean_distinct_words = 30.0;
   ccfg.seed = 19;
-  const search::InvertedIndex index =
-      search::InvertedIndex::build(trace::Corpus::generate(ccfg));
-  const std::vector<std::uint64_t> sizes = index.index_sizes();
+  const trace::Corpus corpus = trace::Corpus::generate(ccfg);
+  const std::vector<std::uint64_t> sizes =
+      search::InvertedIndex::build(corpus).index_sizes();
 
   std::vector<int> placement(sizes.size());
   for (std::size_t k = 0; k < placement.size(); ++k)
@@ -123,6 +128,7 @@ TEST(BlockParallel, FaultReplayBitIdenticalAcrossThreadsAndCodecs) {
     search::set_default_posting_codec(codec);
     for (int threads : {1, 2, 8}) {
       common::set_global_threads(threads);
+      const search::InvertedIndex index = search::InvertedIndex::build(corpus);
       sim::Cluster cluster(4, 1e9);
       cluster.install_placement(placement, sizes);
       stats.push_back(

@@ -5,12 +5,15 @@
 // should scrutinise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/correlation.hpp"
 #include "core/hypergraph.hpp"
 #include "core/instance.hpp"
 #include "core/partial_optimizer.hpp"
@@ -249,6 +252,58 @@ TEST(Hypergraph, BeatsPairwiseOnLongQueries) {
   const double ml_lambda = scoped.connectivity_cost(scoped_placement(ml));
   EXPECT_LE(hg_lambda, ml_lambda + 1e-9);
   EXPECT_LT(hg_lambda, scoped.total_connectivity_cost());  // actually helps
+}
+
+TEST(Hypergraph, HyperedgeAggregationMatchesMapOracle) {
+  // build_hyperedges and set_hyperedges aggregate by sort + run-length
+  // merge; a std::map keyed by pin set is the reference. Output order and
+  // every weight bit must agree (weights summed in input order).
+  trace::WorkloadConfig wcfg;
+  wcfg.vocabulary_size = 60;
+  wcfg.num_topics = 6;
+  wcfg.seed = 41;
+  const trace::QueryTrace trace = trace::WorkloadModel(wcfg).generate(4000, 43);
+
+  std::map<std::vector<trace::KeywordId>, std::size_t> counts;
+  for (const trace::Query& q : trace.queries())
+    if (q.size() >= 2) ++counts[q.keywords];
+  const std::vector<KeywordHyperedge> built = build_hyperedges(trace);
+  ASSERT_EQ(built.size(), counts.size());
+  std::size_t i = 0;
+  for (const auto& [pins, count] : counts) {
+    EXPECT_EQ(built[i].pins, pins);
+    EXPECT_EQ(built[i].weight,
+              static_cast<double>(count) *
+                  (1.0 / static_cast<double>(trace.size())));
+    ++i;
+  }
+
+  common::Rng rng(47);
+  std::vector<Hyperedge> edges;
+  std::map<std::vector<ObjectId>, double> merged;
+  for (int e = 0; e < 3000; ++e) {
+    Hyperedge edge;
+    const int k = 1 + static_cast<int>(rng.next_below(4));  // 1..4 pins
+    for (int t = 0; t < k; ++t)
+      edge.pins.push_back(static_cast<int>(rng.next_below(12)));
+    edge.weight = rng.next_below(10) == 0 ? 0.0 : rng.next_double();
+    std::vector<ObjectId> canonical = edge.pins;
+    std::sort(canonical.begin(), canonical.end());
+    canonical.erase(std::unique(canonical.begin(), canonical.end()),
+                    canonical.end());
+    if (canonical.size() >= 2 && edge.weight > 0.0)
+      merged[canonical] += edge.weight;
+    edges.push_back(std::move(edge));
+  }
+  CcaInstance inst(std::vector<double>(12, 1.0), {12.0, 12.0}, {});
+  inst.set_hyperedges(std::move(edges));
+  ASSERT_EQ(inst.hyperedges().size(), merged.size());
+  i = 0;
+  for (const auto& [pins, weight] : merged) {
+    EXPECT_EQ(inst.hyperedges()[i].pins, pins);
+    EXPECT_EQ(inst.hyperedges()[i].weight, weight);  // bit-identical
+    ++i;
+  }
 }
 
 }  // namespace

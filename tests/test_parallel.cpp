@@ -213,9 +213,9 @@ TEST(Determinism, ReplayTraceIsThreadCountInvariant) {
   ccfg.vocabulary_size = 300;
   ccfg.mean_distinct_words = 40.0;
   ccfg.seed = 7;
-  const search::InvertedIndex index =
-      search::InvertedIndex::build(trace::Corpus::generate(ccfg));
-  const std::vector<std::uint64_t> sizes = index.index_sizes();
+  const trace::Corpus corpus = trace::Corpus::generate(ccfg);
+  const std::vector<std::uint64_t> sizes =
+      search::InvertedIndex::build(corpus).index_sizes();
 
   std::vector<int> placement(sizes.size());
   for (std::size_t k = 0; k < placement.size(); ++k)
@@ -228,6 +228,9 @@ TEST(Determinism, ReplayTraceIsThreadCountInvariant) {
     std::vector<std::uint64_t> cluster_bytes;
     for (int threads : kThreadCounts) {
       common::set_global_threads(threads);
+      // A fresh index per run: an index memoises its trace profiles, so
+      // this makes every run build the profile at its own thread count.
+      const search::InvertedIndex index = search::InvertedIndex::build(corpus);
       sim::Cluster cluster(5, 1e9);
       cluster.install_placement(placement, sizes);
       stats.push_back(sim::replay_trace(cluster, index, trace, kind));
