@@ -14,8 +14,7 @@
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   const auto scope = static_cast<std::size_t>(args.get_int("scope", 1000));
   const int nodes = static_cast<int>(args.get_int("nodes", 10));
@@ -50,4 +49,8 @@ int main(int argc, char** argv) {
                " trade-off made quantitative)\n";
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

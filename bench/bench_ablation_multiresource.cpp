@@ -41,8 +41,7 @@ double demand_imbalance(const std::vector<double>& demands,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   const auto scope = static_cast<std::size_t>(args.get_int("scope", 800));
   const int nodes = static_cast<int>(args.get_int("nodes", 10));
@@ -105,4 +104,8 @@ int main(int argc, char** argv) {
                " communication)\n";
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

@@ -22,8 +22,7 @@
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   const auto scope = static_cast<std::size_t>(args.get_int("scope", 800));
   const int nodes = static_cast<int>(args.get_int("nodes", 10));
@@ -84,4 +83,8 @@ int main(int argc, char** argv) {
                " pays cut cost to keep realized loads near capacity.)\n";
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

@@ -18,8 +18,7 @@
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   const auto scope = static_cast<std::size_t>(args.get_int("scope", 1000));
   args.reject_unused();
@@ -76,4 +75,8 @@ int main(int argc, char** argv) {
                " footnote 1 trade-off, quantified.)\n";
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

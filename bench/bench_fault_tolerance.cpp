@@ -87,8 +87,7 @@ double frozen_availability(const trace::QueryTrace& trace,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   const bench::FaultFlags faults = bench::FaultFlags::from_cli(args);
   int nodes = static_cast<int>(args.get_int("nodes", 10));
@@ -470,4 +469,8 @@ int main(int argc, char** argv) {
   }
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

@@ -67,8 +67,7 @@ double top_k_recall(const std::vector<trace::PairCount>& reference,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   // Pair-stability statistics need deep traces: at the testbed default of
   // 40k queries the 1000th pair has only ~12 observations and sampling
@@ -256,4 +255,8 @@ int main(int argc, char** argv) {
   }
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

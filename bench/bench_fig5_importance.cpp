@@ -15,8 +15,7 @@
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   args.reject_unused();
 
@@ -56,4 +55,8 @@ int main(int argc, char** argv) {
   }
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

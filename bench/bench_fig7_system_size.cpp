@@ -25,8 +25,7 @@
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   const auto scope = static_cast<std::size_t>(args.get_int("scope", 1500));
   const int max_nodes = static_cast<int>(args.get_int("max-nodes", 100));
@@ -111,4 +110,8 @@ int main(int argc, char** argv) {
   json.write();
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

@@ -74,8 +74,7 @@ double measure_decode_mbps(const search::InvertedIndex& index,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   const int nodes = static_cast<int>(args.get_int("nodes", 10));
   const auto scope = static_cast<std::size_t>(args.get_int("scope", 1000));
@@ -169,4 +168,8 @@ int main(int argc, char** argv) {
 
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

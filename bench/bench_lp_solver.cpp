@@ -7,15 +7,15 @@
 //   * wall-clock time of the component-exact solver (all scopes),
 // quantifying why the component path makes reproduction tractable.
 //
-// It then runs a synthetic scaling grid (rows x density x backend) over
-// seeded random LPs, reporting per-cell iteration counts, factorization
-// work, and wall-clock for the dense tableau and the sparse revised
-// simplex. With --json=<path> the grid is also dumped as a JSON array
-// (BENCH_lp_solver.json in the build tree) so the solver's perf
-// trajectory can be tracked across PRs.
+// It then runs a synthetic scaling grid (rows x density) over seeded
+// random LPs, reporting per-cell iteration counts, factorization work,
+// wall-clock, and the cold vs warm-restart iterations of re-solving a
+// perturbed sibling. With --json=<path> the grid is also dumped as a
+// JSON array (BENCH_lp_solver.json in the build tree) so the solver's
+// perf trajectory can be tracked across changes.
 //
 //   ./bench_lp_solver [--nodes=10] [--full-limit=25]
-//                     [--grid-max-rows=400] [--grid-dense-limit=400]
+//                     [--grid-max-rows=400]
 //                     [--json=<path>] [testbed flags]
 #include <chrono>
 #include <fstream>
@@ -105,8 +105,7 @@ lp::Model make_grid_lp(int rows, int cols, double density,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const bench::TestbedConfig cfg = bench::TestbedConfig::from_cli(args);
   const int nodes = static_cast<int>(args.get_int("nodes", 10));
   // Scopes up to this size also solve the literal Fig. 4 LP. Kept tiny by
@@ -115,13 +114,9 @@ int main(int argc, char** argv) {
   // paper's authors 48 LPsolve-hours at scope 10000.
   const auto full_limit =
       static_cast<std::size_t>(args.get_int("full-limit", 25));
-  // Scaling-grid knobs: largest row count to run, and the largest row
-  // count the dense tableau is asked to handle (its O(m*(n+2m)) tableau
-  // and full-row pivots dominate quickly).
+  // Scaling-grid knob: largest row count to run.
   const int grid_max_rows =
       static_cast<int>(args.get_int("grid-max-rows", 400));
-  const int grid_dense_limit =
-      static_cast<int>(args.get_int("grid-dense-limit", 400));
   args.reject_unused();
 
   const bench::Testbed tb = bench::Testbed::build(cfg);
@@ -179,24 +174,20 @@ int main(int argc, char** argv) {
                " described in component_solver.hpp)\n";
 
   // ------------------------------------------------------------------
-  // Scaling grid: rows x density x lane x presolve over seeded random
-  // LPs. Every configuration sees the identical model per cell, so the
-  // objective column doubles as a cross-configuration equivalence check
-  // (the smoke contracts smoke_lp_backend_equiv / smoke_lp_presolve_equiv
-  // and check_lp_grid.py assert it from the JSON dump). Lanes: the dense
-  // tableau, the primal-only revised simplex (PR-4 baseline), and the
-  // revised simplex with the dual warm-restart lane. Each revised-family
-  // cell additionally re-solves an rhs-perturbed sibling warm from the
-  // first solve's basis — the hot-restart pattern bench_drift and the
-  // RecoveryPlanner live on — reporting the warm iteration count (primal
-  // repair vs dual-lane repair at the same cell).
+  // Scaling grid: rows x density over seeded random LPs. Each cell solves
+  // its model cold, then re-solves an rhs-perturbed sibling twice: cold,
+  // and warm from the first solve's basis — the hot-restart pattern
+  // bench_drift and the RecoveryPlanner live on. The two sibling solves
+  // must agree on status and objective (check_lp_grid.py asserts it from
+  // the JSON dump): hints change iteration counts, never answers.
   // ------------------------------------------------------------------
   std::cout << "\nScaling grid — synthetic sparse LPs (cols = 2x rows,"
                " every 5th row an equality)\n\n";
-  common::Table grid({"rows", "cols", "density", "lane", "presolve",
-                      "status", "iters", "dual it", "warm it", "pre -rows",
-                      "pre -cols", "objective", "solve (ms)"});
+  common::Table grid({"rows", "cols", "density", "status", "iters",
+                      "objective", "solve (ms)", "restart cold it",
+                      "restart warm it", "warm hit"});
   std::vector<std::string> json_rows;
+  const lp::Solver solver;
   for (const int rows : {50, 100, 200, 400}) {
     if (rows > grid_max_rows) continue;
     for (const double density : {0.02, 0.08}) {
@@ -206,9 +197,9 @@ int main(int argc, char** argv) {
           static_cast<std::uint64_t>(density * 1000.0);
       const lp::Model model = make_grid_lp(rows, cols, density, cell_seed);
       // The rhs-perturbed sibling for the warm-restart measurement: every
-      // rhs nudged up (deterministically per cell), so the model stays
-      // feasible and the old basis typically prices out dual feasible but
-      // primal infeasible — the dual lane's home turf.
+      // rhs nudged up (deterministically per cell). The old basis may turn
+      // primal infeasible, and a nudged equality row can make the sibling
+      // infeasible outright.
       lp::Model perturbed;
       {
         common::Rng prng(cell_seed ^ 0xD1B54A32D192ED03ULL);
@@ -220,73 +211,51 @@ int main(int argc, char** argv) {
                                    model.rhs(i) + 0.05 * prng.next_double(),
                                    model.row_terms(i));
       }
-      const struct {
-        const char* lane;
-        lp::SolverKind kind;
-      } lanes[] = {{"dense", lp::SolverKind::kDense},
-                   {"revised", lp::SolverKind::kRevised},
-                   {"dual", lp::SolverKind::kDual}};
-      for (const auto& lane : lanes) {
-        if (lane.kind == lp::SolverKind::kDense && rows > grid_dense_limit)
-          continue;
-        for (const bool presolve : {true, false}) {
-          lp::SolverOptions options;
-          options.presolve = presolve;
-          const lp::Solver solver(lane.kind, options);
-          const lp::SolveResult r = solver.solve(model);
-          long warm_iters = -1, warm_dual_iters = -1;
-          if (lane.kind != lp::SolverKind::kDense && !r.basis.empty()) {
-            const lp::SolveResult w = solver.solve(perturbed, &r.basis);
-            if (w.optimal()) {
-              warm_iters = w.solution.iterations;
-              warm_dual_iters = w.stats.dual_iterations;
-            }
-          }
-          grid.add_row({std::to_string(rows), std::to_string(cols),
-                        common::Table::num(density, 2), lane.lane,
-                        presolve ? "on" : "off",
-                        to_string(r.solution.status),
-                        std::to_string(r.solution.iterations),
-                        std::to_string(r.stats.dual_iterations),
-                        std::to_string(warm_iters),
-                        std::to_string(r.stats.presolve_rows_removed),
-                        std::to_string(r.stats.presolve_cols_removed),
-                        common::Table::num(r.solution.objective, 6),
-                        common::Table::num(r.stats.total_ms, 2)});
-          std::ostringstream row;
-          row << "  {\"seed\": " << cfg.seed << ", \"rows\": " << rows
-              << ", \"cols\": " << cols << ", \"density\": " << density
-              << ", \"lane\": \"" << lane.lane << "\""
-              << ", \"presolve\": \"" << (presolve ? "on" : "off") << "\""
-              << ", \"backend\": \"" << r.stats.backend << "\""
-              << ", \"status\": \"" << to_string(r.solution.status) << "\""
-              << ", \"objective\": " << r.solution.objective
-              << ", \"iterations\": " << r.solution.iterations
-              << ", \"phase1_iterations\": " << r.stats.phase1_iterations
-              << ", \"phase2_iterations\": " << r.stats.phase2_iterations
-              << ", \"dual_iterations\": " << r.stats.dual_iterations
-              << ", \"warm_iterations\": " << warm_iters
-              << ", \"warm_dual_iterations\": " << warm_dual_iters
-              << ", \"presolve_rows_removed\": "
-              << r.stats.presolve_rows_removed
-              << ", \"presolve_cols_removed\": "
-              << r.stats.presolve_cols_removed
-              << ", \"factorizations\": " << r.stats.factorizations
-              << ", \"fill_nnz\": " << r.stats.factor_fill_nnz
-              << ", \"pricing_candidates\": " << r.stats.pricing_candidates
-              << ", \"solve_ms\": " << r.stats.total_ms << "}";
-          json_rows.push_back(row.str());
-        }
-      }
+      const lp::SolveResult r = solver.solve(model);
+      const lp::SolveResult restart_cold = solver.solve(perturbed);
+      const lp::SolveResult restart_warm = solver.solve(perturbed, &r.basis);
+      grid.add_row({std::to_string(rows), std::to_string(cols),
+                    common::Table::num(density, 2),
+                    to_string(r.solution.status),
+                    std::to_string(r.solution.iterations),
+                    common::Table::num(r.solution.objective, 6),
+                    common::Table::num(r.stats.total_ms, 2),
+                    std::to_string(restart_cold.solution.iterations),
+                    std::to_string(restart_warm.solution.iterations),
+                    restart_warm.stats.warm_start_hit ? "yes" : "no"});
+      std::ostringstream row;
+      row << "  {\"seed\": " << cfg.seed << ", \"rows\": " << rows
+          << ", \"cols\": " << cols << ", \"density\": " << density
+          << ", \"status\": \"" << to_string(r.solution.status) << "\""
+          << ", \"objective\": " << r.solution.objective
+          << ", \"iterations\": " << r.solution.iterations
+          << ", \"phase1_iterations\": " << r.stats.phase1_iterations
+          << ", \"phase2_iterations\": " << r.stats.phase2_iterations
+          << ", \"factorizations\": " << r.stats.factorizations
+          << ", \"fill_nnz\": " << r.stats.factor_fill_nnz
+          << ", \"pricing_candidates\": " << r.stats.pricing_candidates
+          << ", \"solve_ms\": " << r.stats.total_ms
+          << ", \"restart_cold_status\": \""
+          << to_string(restart_cold.solution.status) << "\""
+          << ", \"restart_warm_status\": \""
+          << to_string(restart_warm.solution.status) << "\""
+          << ", \"restart_cold_objective\": "
+          << restart_cold.solution.objective
+          << ", \"restart_warm_objective\": "
+          << restart_warm.solution.objective
+          << ", \"restart_cold_iterations\": "
+          << restart_cold.solution.iterations
+          << ", \"restart_warm_iterations\": "
+          << restart_warm.solution.iterations
+          << ", \"restart_warm_hit\": "
+          << (restart_warm.stats.warm_start_hit ? "true" : "false") << "}";
+      json_rows.push_back(row.str());
     }
   }
   grid.print(std::cout);
-  std::cout << "\n(identical model per (rows, density) cell across every"
-               " lane x presolve configuration; 'warm it' is the total"
-               " iteration count of re-solving an rhs-perturbed sibling"
-               " from the cell's optimal basis — compare the revised"
-               " lane's phase-1 rebuild against the dual lane's repair"
-               " pivots at the same cell)\n";
+  std::cout << "\n('restart' re-solves an rhs-perturbed sibling of the"
+               " cell's model, cold and warm from the cell's optimal"
+               " basis; a warm hit skips phase 1, a miss cold-starts)\n";
 
   if (!cfg.json_path.empty()) {
     std::ofstream out(cfg.json_path);
@@ -301,4 +270,8 @@ int main(int argc, char** argv) {
 
   bench::write_metrics(cfg);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

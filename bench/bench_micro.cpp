@@ -15,10 +15,7 @@
 #include "core/placement_map.hpp"
 #include "core/rounding.hpp"
 #include "hash/md5.hpp"
-#include "lp/dense_simplex.hpp"
-#include "lp/presolve.hpp"
 #include "lp/revised_simplex.hpp"
-#include "lp/solver.hpp"
 #include "search/block_postings.hpp"
 #include "search/compression.hpp"
 #include "search/inverted_index.hpp"
@@ -350,8 +347,8 @@ void BM_RandomizedRounding(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomizedRounding)->Arg(25)->Arg(100)->Arg(400);
 
-void BM_DenseVsRevisedSimplex(benchmark::State& state) {
-  // Random dense-ish LP solved by the engine selected via state.range(1).
+void BM_RevisedSimplex(benchmark::State& state) {
+  // Random dense-ish LP solved cold by the revised simplex.
   common::Rng rng(11);
   lp::Model model;
   const int n = static_cast<int>(state.range(0));
@@ -374,109 +371,11 @@ void BM_DenseVsRevisedSimplex(benchmark::State& state) {
       model.add_constraint(lp::Relation::kLessEqual,
                            lhs + rng.next_double(), std::move(terms));
   }
-  const bool revised = state.range(1) != 0;
   for (auto _ : state) {
-    if (revised) {
-      benchmark::DoNotOptimize(lp::RevisedSimplex().solve(model));
-    } else {
-      benchmark::DoNotOptimize(lp::DenseSimplex().solve(model));
-    }
+    benchmark::DoNotOptimize(lp::RevisedSimplex().solve(model));
   }
 }
-BENCHMARK(BM_DenseVsRevisedSimplex)
-    ->Args({40, 0})
-    ->Args({40, 1})
-    ->Args({120, 0})
-    ->Args({120, 1});
-
-/// Sparse LP in the presolvable regime (singleton / empty rows, fixed and
-/// column-singleton variables), shared by the presolve and dual-lane
-/// micro-benchmarks below. slack_scale shrinks the inequality slack of
-/// the generator's feasible point: regenerating with the same seed and a
-/// smaller scale yields a tightened sibling that is still feasible by
-/// construction but makes the original optimal basis primal infeasible —
-/// the post-perturbation shape the dual lane repairs.
-lp::Model presolvable_model(int rows, std::uint64_t seed,
-                            double slack_scale = 1.0) {
-  common::Rng rng(seed);
-  lp::Model model;
-  const int n = 2 * rows;
-  std::vector<double> x0(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    const double l = rng.next_double() < 0.1 ? 2.0 : 0.0;
-    const double u = rng.next_double() < 0.1 ? l : 10.0;  // 10% fixed
-    model.add_variable(l, u, rng.next_double() * 4.0 - 2.0);
-    x0[static_cast<std::size_t>(j)] = l + (u - l) * rng.next_double();
-  }
-  // rhs values come from the known point x0, so the model is feasible by
-  // construction even through the singleton equality rows.
-  for (int i = 0; i < rows; ++i) {
-    std::vector<lp::Term> terms;
-    double activity = 0.0;
-    const int width = 1 + static_cast<int>(rng.next_below(4));  // 25% singleton
-    for (int k = 0; k < width; ++k) {
-      const int j = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(n)));
-      const double a = 0.2 + rng.next_double();
-      terms.push_back({j, a});
-      activity += a * x0[static_cast<std::size_t>(j)];
-    }
-    if (i % 4 == 0) {
-      model.add_constraint(lp::Relation::kEqual, activity, std::move(terms));
-    } else {
-      model.add_constraint(lp::Relation::kLessEqual,
-                           activity + slack_scale * rng.next_double(),
-                           std::move(terms));
-    }
-  }
-  return model;
-}
-
-void BM_PresolvePass(benchmark::State& state) {
-  // One full presolve reduction loop (rules to fixpoint + reduced-model
-  // assembly), isolated from any simplex work. EXPERIMENTS.md quotes this
-  // as the per-solve overhead presolve must amortize.
-  const lp::Model model =
-      presolvable_model(static_cast<int>(state.range(0)), 17);
-  for (auto _ : state) {
-    lp::Presolve pre;
-    benchmark::DoNotOptimize(pre.run(model));
-    benchmark::DoNotOptimize(pre.reduced_anything());
-  }
-}
-BENCHMARK(BM_PresolvePass)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_DualWarmRestart(benchmark::State& state) {
-  // One dual-lane warm restart: re-solve an rhs-perturbed sibling from
-  // the optimal basis, timing the dual ratio-test/BTRAN/FTRAN repair
-  // cycle (a handful of pivots) against the phase-1 rebuild the primal
-  // lane needs for the same hint (state.range(1) selects the lane).
-  const int rows = static_cast<int>(state.range(0));
-  const lp::Model base = presolvable_model(rows, 27);
-  // Same structure, inequality slack shrunk to 25%: feasible by
-  // construction, but tight enough that the base optimum's basis prices
-  // out primal infeasible and the warm restart has real repair work.
-  const lp::Model moved = presolvable_model(rows, 27, 0.25);
-  lp::SolverOptions options;
-  options.presolve = false;
-  options.dual_lane = state.range(1) != 0;
-  const lp::Solver solver(options.dual_lane ? lp::SolverKind::kDual
-                                            : lp::SolverKind::kRevised,
-                          options);
-  const lp::SolveResult first = solver.solve(base);
-  if (!first.optimal() || first.basis.empty()) {
-    state.SkipWithError("base solve did not yield a warm-startable basis");
-    return;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(moved, &first.basis));
-  }
-}
-BENCHMARK(BM_DualWarmRestart)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({400, 0})
-    ->Args({400, 1});
+BENCHMARK(BM_RevisedSimplex)->Arg(40)->Arg(120);
 
 }  // namespace
 

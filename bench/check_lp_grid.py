@@ -1,16 +1,10 @@
 """Validates a bench_lp_solver --json grid dump (BENCH_lp_solver.json).
 
-Checks that the dump is valid JSON with the per-cell schema, that every
-cell solved to optimality, and that every configuration of a (rows,
-density) point — lane in {dense, revised, dual}, presolve in {on, off} —
-agrees on the objective: the cross-configuration equivalence half of the
-smoke_lp_backend_equiv / smoke_lp_presolve_equiv contracts, read off the
-synthetic grid instead of the CCA pipeline.
-
-Coverage is strict: every (rows, density) point must carry the identical
-configuration set (a missing cell fails the check), the revised and dual
-lanes must both appear with presolve on AND off, and presolve must remove
-a nonzero number of rows+columns somewhere on the grid.
+Checks that the dump is valid JSON with the per-cell schema, that each
+(rows, density) point appears exactly once and solved to optimality, and
+that the warm re-solve of the cell's rhs-perturbed sibling (hinted with
+the cell's optimal basis) reaches the same status and objective as the
+cold solve of that sibling: hints change iteration counts, never answers.
 
 Usage: python3 check_lp_grid.py <grid.json>
 """
@@ -18,18 +12,13 @@ import json
 import sys
 
 REQUIRED = {
-    "rows", "cols", "density", "lane", "presolve", "backend", "status",
-    "objective", "iterations", "phase1_iterations", "phase2_iterations",
-    "dual_iterations", "warm_iterations", "warm_dual_iterations",
-    "presolve_rows_removed", "presolve_cols_removed",
-    "factorizations", "fill_nnz", "pricing_candidates", "solve_ms",
-}
-
-# Every revised-family configuration must be present at every point; the
-# dense lane may be cut off by --grid-dense-limit but must then be absent
-# uniformly (the identical-config-set check below).
-MANDATORY_CONFIGS = {
-    ("revised", "on"), ("revised", "off"), ("dual", "on"), ("dual", "off"),
+    "rows", "cols", "density", "status", "objective", "iterations",
+    "phase1_iterations", "phase2_iterations", "factorizations", "fill_nnz",
+    "pricing_candidates", "solve_ms", "restart_cold_status",
+    "restart_warm_status",
+    "restart_cold_objective", "restart_warm_objective",
+    "restart_cold_iterations", "restart_warm_iterations",
+    "restart_warm_hit",
 }
 
 
@@ -38,57 +27,33 @@ def main(path):
         cells = json.load(f)
     if not cells:
         raise SystemExit("grid dump is empty")
-    by_point = {}
-    total_removed = 0
-    warm = {"revised": 0, "dual": 0}
-    warm_cells = {"revised": 0, "dual": 0}
+    points = set()
+    cold_iters = warm_iters = hits = 0
     for cell in cells:
         missing = REQUIRED - set(cell)
         if missing:
             raise SystemExit(f"cell {cell} missing keys {sorted(missing)}")
+        point = (cell["rows"], cell["density"])
+        if point in points:
+            raise SystemExit(f"point {point} appears twice")
+        points.add(point)
         if cell["status"] != "optimal":
             raise SystemExit(f"cell not optimal: {cell}")
-        point = (cell["rows"], cell["density"])
-        config = (cell["lane"], cell["presolve"])
-        configs = by_point.setdefault(point, {})
-        if config in configs:
-            raise SystemExit(f"point {point} duplicates config {config}")
-        configs[config] = cell["objective"]
-        if cell["presolve"] == "on":
-            total_removed += (cell["presolve_rows_removed"] +
-                              cell["presolve_cols_removed"])
-        elif cell["presolve_rows_removed"] or cell["presolve_cols_removed"]:
-            raise SystemExit(f"presolve-off cell reports reductions: {cell}")
-        if cell["lane"] in warm and cell["warm_iterations"] >= 0:
-            warm[cell["lane"]] += cell["warm_iterations"]
-            warm_cells[cell["lane"]] += 1
-    expected = None
-    for point, configs in sorted(by_point.items()):
-        if expected is None:
-            expected = set(configs)
-            if not MANDATORY_CONFIGS <= expected:
-                raise SystemExit(
-                    f"grid lacks mandatory configs: "
-                    f"{sorted(MANDATORY_CONFIGS - expected)}")
-        if set(configs) != expected:
+        if cell["restart_warm_status"] != cell["restart_cold_status"]:
+            raise SystemExit(f"point {point}: warm and cold restart statuses "
+                             f"differ: {cell}")
+        cold = cell["restart_cold_objective"]
+        warm = cell["restart_warm_objective"]
+        if (cell["restart_cold_status"] == "optimal" and
+                abs(warm - cold) > 1e-6 * (1.0 + abs(cold))):
             raise SystemExit(
-                f"point {point} missing cells: {sorted(expected - set(configs))}"
-                f" extra: {sorted(set(configs) - expected)}")
-        objectives = sorted(configs.items())
-        ref_config, ref = objectives[0]
-        for config, objective in objectives[1:]:
-            if abs(objective - ref) > 1e-6 * (1.0 + abs(ref)):
-                raise SystemExit(
-                    f"point {point}: configs disagree, {ref_config}={ref} "
-                    f"{config}={objective}")
-    if total_removed <= 0:
-        raise SystemExit("presolve removed nothing anywhere on the grid")
-    print(f"{len(cells)} cells, {len(by_point)} (rows, density) points, "
-          f"{len(expected)} configs each, objectives agree; "
-          f"presolve removed {total_removed} rows+cols; "
-          f"warm restarts: revised {warm['revised']} iters over "
-          f"{warm_cells['revised']} cells, dual {warm['dual']} iters over "
-          f"{warm_cells['dual']} cells")
+                f"point {point}: warm restart {warm} != cold {cold}")
+        cold_iters += cell["restart_cold_iterations"]
+        warm_iters += cell["restart_warm_iterations"]
+        hits += bool(cell["restart_warm_hit"])
+    print(f"{len(cells)} (rows, density) points, all optimal; warm and cold "
+          f"restarts agree; restart iterations cold {cold_iters} vs warm "
+          f"{warm_iters}, {hits} warm hits")
 
 
 if __name__ == "__main__":

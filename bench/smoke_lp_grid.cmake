@@ -1,6 +1,6 @@
 # Smoke contract: bench_lp_solver's scaling-grid --json dump is valid
-# JSON with the per-cell schema, every cell is optimal, and the dense and
-# revised backends report equal objectives per (rows, density) cell.
+# JSON with the per-cell schema, every cell is optimal, and the warm and
+# cold re-solves of each cell's perturbed sibling report equal objectives.
 # Driven by ctest as
 #   cmake -DBENCH=... -DTB_ARGS=... -DPYTHON=... -DCHECKER=...
 #         -DOUT_DIR=... -P <this>

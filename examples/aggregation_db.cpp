@@ -20,11 +20,11 @@
 #include "sim/replay.hpp"
 #include "trace/documents.hpp"
 #include "trace/workload.hpp"
+#include "testbed.hpp"
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const int nodes = static_cast<int>(args.get_int("nodes", 6));
   const auto shards = static_cast<std::size_t>(args.get_int("shards", 300));
   const auto queries =
@@ -97,4 +97,8 @@ int main(int argc, char** argv) {
                " largest shard's node; correlations use the all-pairs"
                " model.)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

@@ -25,6 +25,7 @@
 #include "sim/replay.hpp"
 #include "trace/documents.hpp"
 #include "trace/workload.hpp"
+#include "testbed.hpp"
 
 using namespace cca;
 
@@ -60,8 +61,7 @@ core::CcaInstance scoped_instance(const std::vector<trace::KeywordId>& scope,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const int months = static_cast<int>(args.get_int("months", 6));
   const double drift_per_month = args.get_double("drift", 0.08);
   const double budget = args.get_double("budget", 0.1);
@@ -176,4 +176,8 @@ int main(int argc, char** argv) {
                " real trade-off; 'never' banks on the paper's stability"
                " premise)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

@@ -29,11 +29,11 @@
 #include "sim/replay.hpp"
 #include "trace/documents.hpp"
 #include "trace/workload.hpp"
+#include "testbed.hpp"
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const int nodes = static_cast<int>(args.get_int("nodes", 6));
   const int degree = static_cast<int>(args.get_int("degree", 1));
   const double mttf_ms = args.get_double("mttf", 4000.0);
@@ -180,4 +180,8 @@ int main(int argc, char** argv) {
                " its correlated siblings, so the co-location the optimizer"
                " paid for outlives the node that hosted it.)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

@@ -14,11 +14,11 @@
 #include "core/instance.hpp"
 #include "core/placements.hpp"
 #include "core/rounding.hpp"
+#include "testbed.hpp"
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const int trials = static_cast<int>(args.get_int("trials", 16));
   args.reject_unused();
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
     std::cout << " obj" << i << "->node" << lprr.placement[i];
   std::cout << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

@@ -24,11 +24,11 @@
 #include "sim/replay.hpp"
 #include "trace/documents.hpp"
 #include "trace/workload.hpp"
+#include "testbed.hpp"
 
 using namespace cca;
 
-int main(int argc, char** argv) {
-  const common::CliArgs args(argc, argv);
+static int main_body(const common::CliArgs& args) {
   const int nodes = static_cast<int>(args.get_int("nodes", 10));
   const auto scope = static_cast<std::size_t>(args.get_int("scope", 500));
   const auto docs = static_cast<std::size_t>(args.get_int("docs", 4000));
@@ -115,4 +115,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, main_body);
 }

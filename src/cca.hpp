@@ -37,7 +37,6 @@
 #include "core/rounding.hpp"
 #include "hash/md5.hpp"
 #include "lp/canonical.hpp"
-#include "lp/dense_simplex.hpp"
 #include "lp/model.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/solution.hpp"

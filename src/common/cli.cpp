@@ -147,6 +147,11 @@ void reject_enum_value(const std::string& flag, const std::string& got,
 }
 
 void CliArgs::reject_unused() const {
+  if (values_.count("help") > 0) {
+    std::string usage = "flags (--key=value or --key value):\n";
+    for (const std::string& known : used_) usage += "  --" + known + "\n";
+    throw HelpRequested(usage);
+  }
   for (const auto& [key, value] : values_) {
     (void)value;
     if (used_.count(key) > 0) continue;

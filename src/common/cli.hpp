@@ -7,10 +7,18 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace cca::common {
+
+/// Thrown by CliArgs::reject_unused() when --help was passed; what() is
+/// the usage text, one line per flag the program read.
+class HelpRequested : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class CliArgs {
  public:
@@ -27,7 +35,8 @@ class CliArgs {
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// Throws if any parsed flag was never read by one of the getters.
-  /// Call after all flags have been fetched to surface typos.
+  /// Call after all flags have been fetched to surface typos. When --help
+  /// was passed it throws HelpRequested instead, listing every flag read.
   void reject_unused() const;
 
  private:

@@ -294,64 +294,32 @@ PlacementGroups build_groups(const CcaInstance& instance,
   return refined;
 }
 
-FractionalPlacement ComponentLpSolver::solve(
-    const CcaInstance& instance) const {
-  CCA_CHECK_MSG(!instance.has_pins(),
-                "ComponentLpSolver requires a pin-free instance");
-
-  // Why identical rows per component lose nothing (and why the LP optimum
-  // is 0): take any feasible fractional x and define, per component c, the
-  // size-weighted average row q_c,k = sum_{i in c} s(i) x_ik / size(c).
-  // Row-stochasticity is preserved, and per-node loads are unchanged:
-  // sum_c size(c) q_ck = sum_i s(i) x_ik <= c(k). Replacing every row of c
-  // by q_c keeps feasibility and drives every pair term |x_ik - x_jk| of
-  // the objective to 0 (pairs never straddle components: an edge with
-  // positive cost merges them). Hence 0 is the optimum whenever the
-  // instance is fractionally feasible at all. With target_fill > 0 the
-  // groups may be split components (see header): same machinery, no longer
-  // the literal optimum.
-  const PlacementGroups groups = build_groups(instance, options_);
-  const int C = static_cast<int>(groups.members.size());
-  const int N = instance.num_nodes();
-
-  // Group-size distribution per solve: how the union-find components (and
-  // their peeled pieces) shape the transportation LP.
-  if (common::metrics_enabled()) {
-    auto& reg = common::MetricsRegistry::global();
-    static common::Counter& solves = reg.counter("core.components.solves");
-    static common::Counter& group_count =
-        reg.counter("core.components.groups");
-    static common::Histogram& group_objects =
-        reg.histogram("core.components.group_objects");
-    static common::Histogram& group_bytes =
-        reg.histogram("core.components.group_bytes");
-    solves.add();
-    group_count.add(C);
-    for (int c = 0; c < C; ++c) {
-      group_objects.observe(groups.members[c].size());
-      group_bytes.observe(static_cast<std::uint64_t>(groups.sizes[c]));
-    }
-  }
-
+TransportationLp build_transportation_lp(const CcaInstance& instance,
+                                         const PlacementGroups& groups,
+                                         std::uint64_t seed) {
   // Transportation LP over q_{c,k} >= 0:
   //   sum_k q_ck = 1                 (group fully placed)
   //   sum_c size_c q_ck <= cap_k     (node capacity; ditto per resource)
   // with a small pseudo-random auxiliary objective that selects a generic
   // optimal *vertex*; vertices of a transportation polytope have at most
   // C + N - 1 nonzeros, so most groups come out integrally assigned.
-  lp::Model model;
+  const int C = static_cast<int>(groups.members.size());
+  const int N = instance.num_nodes();
+  TransportationLp lp;
+  lp::Model& model = lp.model;
   // Vertex-selection preferences keyed by ORIGINAL component, not group:
   // sibling groups split from one component share the same node ranking,
   // so the LP re-co-locates them whenever capacity allows and the split's
   // cut cost is only paid when unavoidable.
   const auto pref = [&](int component, int k) {
-    common::SplitMix64 sm(options_.seed ^
+    common::SplitMix64 sm(seed ^
                           (static_cast<std::uint64_t>(component) *
                                0x9E3779B97F4A7C15ULL +
                            static_cast<std::uint64_t>(k)));
     return static_cast<double>(sm() >> 11) * 0x1.0p-53;
   };
-  std::vector<int> q_col(static_cast<std::size_t>(C) * N);
+  std::vector<int>& q_col = lp.q_col;
+  q_col.resize(static_cast<std::size_t>(C) * N);
   for (int c = 0; c < C; ++c)
     for (int k = 0; k < N; ++k)
       q_col[static_cast<std::size_t>(c) * N + k] = model.add_variable(
@@ -393,6 +361,52 @@ FractionalPlacement ComponentLpSolver::solve(
                            std::move(terms));
     }
   }
+  return lp;
+}
+
+FractionalPlacement ComponentLpSolver::solve(
+    const CcaInstance& instance) const {
+  CCA_CHECK_MSG(!instance.has_pins(),
+                "ComponentLpSolver requires a pin-free instance");
+
+  // Why identical rows per component lose nothing (and why the LP optimum
+  // is 0): take any feasible fractional x and define, per component c, the
+  // size-weighted average row q_c,k = sum_{i in c} s(i) x_ik / size(c).
+  // Row-stochasticity is preserved, and per-node loads are unchanged:
+  // sum_c size(c) q_ck = sum_i s(i) x_ik <= c(k). Replacing every row of c
+  // by q_c keeps feasibility and drives every pair term |x_ik - x_jk| of
+  // the objective to 0 (pairs never straddle components: an edge with
+  // positive cost merges them). Hence 0 is the optimum whenever the
+  // instance is fractionally feasible at all. With target_fill > 0 the
+  // groups may be split components (see header): same machinery, no longer
+  // the literal optimum.
+  const PlacementGroups groups = build_groups(instance, options_);
+  const int C = static_cast<int>(groups.members.size());
+  const int N = instance.num_nodes();
+
+  // Group-size distribution per solve: how the union-find components (and
+  // their peeled pieces) shape the transportation LP.
+  if (common::metrics_enabled()) {
+    auto& reg = common::MetricsRegistry::global();
+    static common::Counter& solves = reg.counter("core.components.solves");
+    static common::Counter& group_count =
+        reg.counter("core.components.groups");
+    static common::Histogram& group_objects =
+        reg.histogram("core.components.group_objects");
+    static common::Histogram& group_bytes =
+        reg.histogram("core.components.group_bytes");
+    solves.add();
+    group_count.add(C);
+    for (int c = 0; c < C; ++c) {
+      group_objects.observe(groups.members[c].size());
+      group_bytes.observe(static_cast<std::uint64_t>(groups.sizes[c]));
+    }
+  }
+
+  const TransportationLp lp = build_transportation_lp(instance, groups,
+                                                      options_.seed);
+  const lp::Model& model = lp.model;
+  const std::vector<int>& q_col = lp.q_col;
 
   // Warm-start hint, in priority order: the cache's previous optimal
   // basis when shape-compatible (the drift/recovery loops re-solve this
@@ -402,13 +416,10 @@ FractionalPlacement ComponentLpSolver::solve(
   // argmin-cost node picks — computed in parallel and merged in fixed
   // group order — and {q_{c,k*(c)} basic per placement row, slack basic
   // per capacity row} is structurally nonsingular (permuted triangular
-  // with unit diagonal). It is optimal outright when no capacity binds;
-  // when one does, the simplex repairs it in a few pivots instead of
-  // running phase 1 from scratch. A cached basis made primal infeasible
-  // by drifted sizes/capacities (the rhs-perturbation shape) is repaired
-  // by the solver's dual lane rather than rejected. An unusable hint
-  // silently cold-starts, so placements never depend on where the hint
-  // came from.
+  // with unit diagonal). It is optimal outright when no capacity binds.
+  // When one does, or when drifted sizes/capacities leave a cached basis
+  // primal infeasible, the hint is unusable and the solve silently
+  // cold-starts, so placements never depend on where the hint came from.
   const int R = static_cast<int>(instance.resources().size());
   const int num_rows = C + N + R * N;
   lp::Basis hint;
@@ -416,11 +427,11 @@ FractionalPlacement ComponentLpSolver::solve(
   if (hint.num_rows() != num_rows) {
     const std::vector<int> best_node = common::parallel_map(
         static_cast<std::size_t>(C), [&](std::size_t c) {
-          const int component = groups.component_of_group[c];
           int best = 0;
           double best_cost = lp::kInfinity;
           for (int k = 0; k < N; ++k) {
-            const double cost = (1.0 + groups.sizes[c]) * pref(component, k);
+            const double cost = model.objective_coef(
+                q_col[static_cast<std::size_t>(c) * N + k]);
             if (cost < best_cost) {
               best = k;
               best_cost = cost;

@@ -20,6 +20,7 @@
 
 #include "core/instance.hpp"
 #include "lp/basis.hpp"
+#include "lp/model.hpp"
 
 namespace cca::core {
 
@@ -79,6 +80,19 @@ struct PlacementGroups {
 /// Builds the co-placement groups for `instance` under `options`.
 PlacementGroups build_groups(const CcaInstance& instance,
                              const ComponentSolverOptions& options);
+
+/// The group x node transportation LP ComponentLpSolver solves: one
+/// placement row per group, one capacity row per node (and per node and
+/// extra resource), and a seeded vertex-selection objective. q_col[c * N
+/// + k] is the model column of group c's share on node k.
+struct TransportationLp {
+  lp::Model model;
+  std::vector<int> q_col;
+};
+
+TransportationLp build_transportation_lp(const CcaInstance& instance,
+                                         const PlacementGroups& groups,
+                                         std::uint64_t seed);
 
 class ComponentLpSolver {
  public:

@@ -105,9 +105,7 @@ FractionalPlacement solve_cca_lp(const CcaInstance& instance,
                                  lp::WarmStartCache* warm_cache) {
   const LpFormulation formulation(instance);
   const lp::Solution solution =
-      lp::Solver(lp::SolverKind::kAuto, options)
-          .solve(formulation.model(), warm_cache)
-          .solution;
+      lp::Solver(options).solve(formulation.model(), warm_cache).solution;
   CCA_CHECK_MSG(solution.optimal(),
                 "CCA LP not solved to optimality: status "
                     << lp::to_string(solution.status));

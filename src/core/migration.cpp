@@ -71,10 +71,9 @@ IncrementalResult IncrementalOptimizer::reoptimize(
   // Fresh LPRR target on the updated instance. Warm-started from the
   // previous reoptimize() round's basis: drift nudges sizes and pair
   // costs but keeps the LP's shape, so phase 2 typically confirms the
-  // old basis, and when the nudged rhs leaves it primal infeasible the
-  // dual simplex lane repairs it in a handful of pivots instead of
-  // rebuilding feasibility from scratch (lp.dual_lane.repairs counts
-  // these rounds in the metrics dump).
+  // old basis (lp.warm_start.hits counts these rounds in the metrics
+  // dump); when the nudged rhs leaves it primal infeasible the solve
+  // cold-starts.
   ComponentSolverOptions solver_options{config_.seed, config_.component_fill};
   solver_options.warm_cache =
       config_.warm_cache != nullptr ? config_.warm_cache : &own_cache_;

@@ -214,9 +214,8 @@ RecoveryResult RecoveryPlanner::replan(const CcaInstance& instance,
     inc.rounding = config_.rounding;
     inc.seed = config_.seed;
     // Shared across failure events: a node loss shifts capacities/pins
-    // (an rhs perturbation of the same LP shape), so the cached basis is
-    // either confirmed outright or repaired by the dual simplex lane —
-    // recovery re-solves never pay a phase-1 rebuild for a stale basis.
+    // (an rhs perturbation of the same LP shape), so a cached basis that
+    // stays primal feasible lets the re-solve skip phase 1.
     inc.warm_cache = &lp_warm_cache_;
     const IncrementalResult rebalanced =
         IncrementalOptimizer(inc).reoptimize(survivor, result.placement);

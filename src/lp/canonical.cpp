@@ -87,7 +87,6 @@ CanonicalForm::CanonicalForm(const Model& model) {
   const int m = static_cast<int>(rows.size());
   b_.assign(static_cast<std::size_t>(m), 0.0);
   row_identity_slack_.assign(static_cast<std::size_t>(m), -1);
-  row_slack_.assign(static_cast<std::size_t>(m), -1);
 
   // Count slack columns first so column indices are known up front.
   int num_slacks = 0;
@@ -115,7 +114,6 @@ CanonicalForm::CanonicalForm(const Model& model) {
       cols_[slack_col].rows.push_back(i);
       cols_[slack_col].values.push_back(coef);
       if (coef > 0.0) row_identity_slack_[i] = slack_col;
-      row_slack_[i] = slack_col;
       ++slack_col;
     }
   }

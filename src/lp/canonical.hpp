@@ -39,13 +39,6 @@ class CanonicalForm {
   /// or -1 if the row needs an artificial variable to start the simplex.
   int identity_slack_for_row(int i) const { return row_identity_slack_[i]; }
 
-  /// The slack / surplus column attached to row `i` regardless of its
-  /// sign (-1 only for equality rows). Unlike identity_slack_for_row this
-  /// also names surplus columns whose coefficient is -1; basis
-  /// translation across a presolve reduction uses it to map slacks of
-  /// surviving rows between the two canonical spaces.
-  int slack_column_for_row(int i) const { return row_slack_[i]; }
-
   /// Canonical column holding (the positive part of) user variable j.
   /// Lets callers that know their model's structure name canonical
   /// columns — e.g. to assemble a crash basis for warm-starting.
@@ -54,8 +47,7 @@ class CanonicalForm {
   /// Canonical column of the negative part of user variable j (-1 unless
   /// the variable was split or is upper-bounded-only). Together with
   /// column_for_variable this names every structural column a user
-  /// variable contributes, which is what basis translation across a
-  /// presolve reduction needs (lp/presolve.hpp).
+  /// variable contributes.
   int minus_column_for_variable(int j) const { return var_map_[j].minus_col; }
 
   /// Canonical row enforcing user variable j's finite upper bound, or -1
@@ -87,7 +79,6 @@ class CanonicalForm {
   std::vector<double> cost_;
   std::vector<double> b_;
   std::vector<int> row_identity_slack_;
-  std::vector<int> row_slack_;
   std::vector<VarMap> var_map_;
   std::vector<int> upper_row_of_var_;
   double objective_offset_ = 0.0;

@@ -7,8 +7,8 @@
 //               l_j <= x_j <= u_j                        for each variable
 //
 // The CCA formulation of the paper (Fig. 4) is built on top of this model
-// by core::LpFormulation; the solvers in dense_simplex.hpp /
-// revised_simplex.hpp consume it.
+// by core::LpFormulation; the revised simplex (revised_simplex.hpp)
+// consumes it.
 #pragma once
 
 #include <limits>

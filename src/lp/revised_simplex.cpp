@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -14,28 +13,6 @@
 namespace cca::lp {
 
 namespace {
-
-/// How a warm-start hint can be used (see RevisedState::try_warm_start).
-enum class WarmOutcome {
-  /// Hint invalid (wrong shape, singular, or dual infeasible): state
-  /// untouched, cold start.
-  kRejected,
-  /// Hint is primal feasible for this rhs: phase 2 may start directly.
-  kPrimalFeasible,
-  /// Hint factorizes and is dual feasible but primal infeasible — the
-  /// classic post-perturbation state. The dual lane can repair it.
-  kDualCandidate,
-};
-
-/// Result of the dual simplex lane (RevisedState::run_dual).
-enum class DualOutcome {
-  /// Primal feasibility restored; finish with primal phase 2.
-  kFeasible,
-  /// Ratio test dried up, iteration budget spent, or numerics drifted.
-  /// The caller discards the state and cold starts — the lane never
-  /// certifies infeasibility itself, so it can never change a status.
-  kGiveUp,
-};
 
 class RevisedState {
  public:
@@ -71,52 +48,23 @@ class RevisedState {
 
   /// Attempts to replace the identity start with `hint`. A full-rank
   /// all-structural basis that is primal feasible for this rhs lets the
-  /// solver skip phase 1 outright (kPrimalFeasible). When `allow_dual` is
-  /// set, a basis that fails only primal feasibility but prices out dual
-  /// feasible against `struct_cost` — exactly what an optimal basis looks
-  /// like after the rhs moved — is installed with its negative basic
-  /// values kept, for run_dual to repair (kDualCandidate). Anything else
-  /// leaves the state untouched (kRejected). Never affects the optimum —
-  /// only the iteration path.
-  WarmOutcome try_warm_start(const Basis& hint, bool allow_dual,
-                             const std::vector<double>& struct_cost) {
-    if (hint.num_rows() != m_) return WarmOutcome::kRejected;
+  /// solver skip phase 1 outright (returns true). Anything else leaves the
+  /// state untouched and returns false: a cold start follows. Never
+  /// affects the optimum — only the iteration path.
+  bool try_warm_start(const Basis& hint) {
+    if (hint.num_rows() != m_) return false;
     std::vector<char> seen(static_cast<std::size_t>(n_struct_), 0);
     for (int j : hint.basic) {
-      if (j < 0 || j >= n_struct_ || seen[j]) return WarmOutcome::kRejected;
+      if (j < 0 || j >= n_struct_ || seen[j]) return false;
       seen[j] = 1;
     }
     SparseLu trial;
-    if (!trial.factorize(cols_, hint.basic, m_)) return WarmOutcome::kRejected;
+    if (!trial.factorize(cols_, hint.basic, m_)) return false;
     std::vector<double> xb;
     trial.ftran(b_, xb);
-    bool primal_feasible = true;
-    for (double v : xb)
-      if (v < -kFeasTol) {
-        primal_feasible = false;
-        break;
-      }
-
-    if (!primal_feasible) {
-      if (!allow_dual) return WarmOutcome::kRejected;
-      // Dual feasibility of the hint: y = c_B' B^-1 from the trial
-      // factors (no eta file yet), then price every nonbasic structural
-      // column. One btran + one full pricing pass — the cost of a single
-      // simplex iteration, paid only when primal feasibility failed.
-      std::vector<double> cb(static_cast<std::size_t>(m_));
-      for (int i = 0; i < m_; ++i) cb[i] = struct_cost[hint.basic[i]];
-      std::vector<double> y;
-      trial.btran(cb, y);
-      for (int j = 0; j < n_struct_; ++j) {
-        if (seen[j]) continue;
-        double d = struct_cost[j];
-        const SparseColumn& col = cols_[j];
-        for (std::size_t t = 0; t < col.rows.size(); ++t)
-          d -= y[col.rows[t]] * col.values[t];
-        if (d < -kFeasTol) return WarmOutcome::kRejected;
-      }
-    } else {
-      for (double& v : xb) v = std::max(v, 0.0);
+    for (double& v : xb) {
+      if (v < -kFeasTol) return false;
+      v = std::max(v, 0.0);
     }
 
     for (int i = 0; i < m_; ++i) in_basis_[basis_[i]] = false;
@@ -129,92 +77,7 @@ class RevisedState {
     xb_ = std::move(xb);
     ++factorizations_;
     fill_nnz_ = lu_.fill_nnz();
-    return primal_feasible ? WarmOutcome::kPrimalFeasible
-                           : WarmOutcome::kDualCandidate;
-  }
-
-  /// Dual simplex lane: starting from a dual-feasible basis with negative
-  /// basic values, repeatedly drives the most-infeasible basic variable
-  /// out (leaving-row selection by primal infeasibility) and enters the
-  /// column winning the dual ratio test, until x_B >= 0. In this
-  /// canonical form every column lives on [0, inf) — finite upper bounds
-  /// became rows — so the textbook bound-flipping case of the dual ratio
-  /// test is vacuous here and the test reduces to min d_j / -alpha_j over
-  /// alpha_j < 0, with the same relative tie band + largest-pivot rule as
-  /// the primal test. Reuses the LU/eta FTRAN-BTRAN machinery unchanged:
-  /// a dual pivot is the same basis change, just chosen row-first.
-  DualOutcome run_dual(const std::vector<double>& struct_cost,
-                       long* iterations) {
-    std::vector<double> cost(static_cast<std::size_t>(n_), 0.0);
-    for (int j = 0; j < n_struct_; ++j) cost[j] = struct_cost[j];
-    std::vector<double> y(static_cast<std::size_t>(m_));
-    std::vector<double> rho(static_cast<std::size_t>(m_));
-    std::vector<double> w(static_cast<std::size_t>(m_));
-    const double tol = options_.tolerance;
-    struct Candidate {
-      int col;
-      double alpha;
-      double ratio;
-    };
-    std::vector<Candidate> cands;
-
-    while (true) {
-      // Leaving row: most negative basic value (primal infeasibility
-      // pricing); ties by lowest row index keep the path deterministic.
-      int leave_row = -1;
-      double most_negative = -kFeasTol;
-      for (int i = 0; i < m_; ++i) {
-        if (xb_[i] < most_negative) {
-          most_negative = xb_[i];
-          leave_row = i;
-        }
-      }
-      if (leave_row < 0) return DualOutcome::kFeasible;
-      if (*iterations >= options_.max_iterations) return DualOutcome::kGiveUp;
-
-      btran(cost, y);
-      btran_unit(leave_row, rho);  // row leave_row of B^-1 A via rho' a_j
-
-      // Dual ratio test, two passes like the primal one: tightest ratio
-      // first, then the largest pivot magnitude within a relative band.
-      cands.clear();
-      double best_ratio = kInfinity;
-      for (int j = 0; j < n_; ++j) {
-        if (in_basis_[j] || !allowed_[j]) continue;
-        const SparseColumn& col = cols_[j];
-        double alpha = 0.0;
-        for (std::size_t t = 0; t < col.rows.size(); ++t)
-          alpha += rho[col.rows[t]] * col.values[t];
-        if (alpha >= -options_.pivot_tolerance) continue;
-        const double d = std::max(reduced_cost(j, cost, y), 0.0);
-        const double ratio = d / -alpha;
-        cands.push_back({j, alpha, ratio});
-        best_ratio = std::min(best_ratio, ratio);
-      }
-      if (cands.empty()) return DualOutcome::kGiveUp;  // dual ray: cold start
-      const double tie_band = best_ratio + tol * (1.0 + std::abs(best_ratio));
-      int enter = -1;
-      double best_pivot = 0.0;
-      for (const Candidate& c : cands) {
-        if (c.ratio <= tie_band && -c.alpha > best_pivot) {
-          enter = c.col;
-          best_pivot = -c.alpha;
-        }
-      }
-      CCA_CHECK(enter >= 0);
-
-      ftran(cols_[enter], w);
-      // The eta-file FTRAN must agree with the row view within drift
-      // tolerance; bail out to a cold start rather than pivot on noise.
-      if (std::abs(w[leave_row]) <= options_.pivot_tolerance)
-        return DualOutcome::kGiveUp;
-      pivot(leave_row, enter, w);
-      ++*iterations;
-      if (eta_length_ >= options_.refactor_interval) {
-        if (!factorize_basis()) return DualOutcome::kGiveUp;
-        ++reinversions_;
-      }
-    }
+    return true;
   }
 
   SolveStatus run_phase(const std::vector<double>& struct_cost,
@@ -380,9 +243,9 @@ class RevisedState {
     return d;
   }
 
-  /// Entering-column selection: Bland full scan (anti-cycling), Dantzig
-  /// full scan, or the candidate list. Returns -1 when provably optimal:
-  /// every rule only concludes that after a full scan finds no violator.
+  /// Entering-column selection: Bland full scan (anti-cycling) or the
+  /// candidate list. Returns -1 when provably optimal: both rules only
+  /// conclude that after a full scan finds no violator.
   int select_entering(const std::vector<double>& cost,
                       const std::vector<double>& y, bool bland) {
     const double tol = options_.tolerance;
@@ -393,20 +256,6 @@ class RevisedState {
       }
       return -1;
     }
-    if (options_.pricing == PricingRule::kDantzig) {
-      int enter = -1;
-      double best_d = -tol;
-      for (int j = 0; j < n_; ++j) {
-        if (in_basis_[j] || !allowed_[j]) continue;
-        const double d = reduced_cost(j, cost, y);
-        if (d < best_d) {
-          enter = j;
-          best_d = d;
-        }
-      }
-      return enter;
-    }
-
     // Candidate list: minor iteration re-prices only the surviving list
     // (violating reduced costs go stale as the basis moves); when the list
     // drains, a rotating major scan refills it from where the last scan
@@ -482,24 +331,11 @@ class RevisedState {
     }
   }
 
-  /// y' = c_B' B^-1 (y indexed by constraint row).
+  /// y' = c_B' B^-1 (y indexed by constraint row): the eta file (newest
+  /// first), then the LU factors.
   void btran(const std::vector<double>& cost, std::vector<double>& y) const {
     cb_.resize(static_cast<std::size_t>(m_));
     for (int i = 0; i < m_; ++i) cb_[i] = cost[basis_[i]];
-    btran_positions(y);
-  }
-
-  /// y' = e_r' B^-1 — row r of the basis inverse, which prices the
-  /// transformed row alpha_j = y' a_j the dual ratio test needs.
-  void btran_unit(int r, std::vector<double>& y) const {
-    cb_.assign(static_cast<std::size_t>(m_), 0.0);
-    cb_[r] = 1.0;
-    btran_positions(y);
-  }
-
-  /// Shared BTRAN tail: applies the eta file (newest first) to the
-  /// position-indexed vector staged in cb_, then the LU factors.
-  void btran_positions(std::vector<double>& y) const {
     for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {  // newest first
       double s = cb_[it->p];
       if (!it->dense.empty()) {
@@ -604,42 +440,19 @@ Solution RevisedSimplex::solve(const Model& model, SolveStats* stats,
   Solution sol;
   if (out_basis) *out_basis = Basis{};
   const CanonicalForm canon(model);
-  std::optional<RevisedState> state;
-  state.emplace(canon, options_);
+  RevisedState state(canon, options_);
   const auto sync_stats = [&] {
-    stats->reinversions = state->reinversions();
-    stats->eta_length = state->eta_length();
-    stats->factorizations = state->factorizations();
-    stats->factor_fill_nnz = state->fill_nnz();
-    stats->pricing_candidates = state->pricing_candidates();
+    stats->reinversions = state.reinversions();
+    stats->eta_length = state.eta_length();
+    stats->factorizations = state.factorizations();
+    stats->factor_fill_nnz = state.fill_nnz();
+    stats->pricing_candidates = state.pricing_candidates();
   };
 
   bool warm = false;
-  if (hint != nullptr && !hint->empty() && options_.warm_start) {
+  if (hint != nullptr && !hint->empty()) {
     stats->warm_start_attempted = true;
-    const WarmOutcome outcome =
-        state->try_warm_start(*hint, options_.dual_lane, canon.cost());
-    if (outcome == WarmOutcome::kPrimalFeasible) {
-      warm = true;
-    } else if (outcome == WarmOutcome::kDualCandidate) {
-      // The PR-4 "unusable hint" case: dual feasible, primal infeasible.
-      // Run the dual lane; if it restores feasibility we have skipped
-      // phase 1, otherwise fall back to a fresh cold start (the lane's
-      // pivots still count — the work happened).
-      stats->dual_lane_attempted = true;
-      const auto dual_start = Clock::now();
-      long dual_iterations = 0;
-      const DualOutcome repaired =
-          state->run_dual(canon.cost(), &dual_iterations);
-      stats->dual_iterations = dual_iterations;
-      stats->dual_ms = ms_since(dual_start);
-      sol.iterations += dual_iterations;
-      if (repaired == DualOutcome::kFeasible) {
-        warm = true;
-      } else {
-        state.emplace(canon, options_);
-      }
-    }
+    warm = state.try_warm_start(*hint);
     stats->warm_start_hit = warm;
   }
 
@@ -648,34 +461,32 @@ Solution RevisedSimplex::solve(const Model& model, SolveStats* stats,
         static_cast<std::size_t>(canon.num_cols()), 0.0);
     const auto phase1_start = Clock::now();
     const SolveStatus status =
-        state->run_phase(zero_cost, 1.0, &sol.iterations);
-    stats->phase1_iterations =
-        sol.iterations - stats->dual_iterations;
+        state.run_phase(zero_cost, 1.0, &sol.iterations);
+    stats->phase1_iterations = sol.iterations;
     stats->phase1_ms = ms_since(phase1_start);
     sync_stats();
     if (status != SolveStatus::kOptimal) {
       sol.status = SolveStatus::kIterationLimit;
       return sol;
     }
-    if (state->artificial_sum() > 1e-7) {
+    if (state.artificial_sum() > 1e-7) {
       sol.status = SolveStatus::kInfeasible;
       return sol;
     }
-    state->retire_artificials();
+    state.retire_artificials();
   }
 
   const auto phase2_start = Clock::now();
   const SolveStatus status =
-      state->run_phase(canon.cost(), 0.0, &sol.iterations);
-  stats->phase2_iterations = sol.iterations - stats->phase1_iterations -
-                             stats->dual_iterations;
+      state.run_phase(canon.cost(), 0.0, &sol.iterations);
+  stats->phase2_iterations = sol.iterations - stats->phase1_iterations;
   stats->phase2_ms = ms_since(phase2_start);
   sync_stats();
   sol.status = status;
   if (status != SolveStatus::kOptimal) return sol;
 
-  if (out_basis) *out_basis = state->export_basis();
-  sol.x = canon.to_user_solution(state->primal());
+  if (out_basis) *out_basis = state.export_basis();
+  sol.x = canon.to_user_solution(state.primal());
   sol.objective = model.objective_value(sol.x);
   return sol;
 }

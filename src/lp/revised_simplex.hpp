@@ -1,8 +1,8 @@
 // Revised primal simplex on a sparse LU-factorized basis.
 //
-// Unlike DenseSimplex, nothing about the basis is ever dense: the
-// constraint matrix stays sparse (CCA programs have ~3 nonzeros per row)
-// and the basis is held as a Markowitz-ordered sparse LU factorization
+// Nothing about the basis is ever dense: the constraint matrix stays
+// sparse (CCA programs have ~3 nonzeros per row) and the basis is held
+// as a Markowitz-ordered sparse LU factorization
 // (lp/sparse_lu.hpp) plus a product-form eta file, refactorized every
 // SolverOptions::refactor_interval pivots. FTRAN/BTRAN cost O(fill + eta)
 // instead of the dense inverse's O(m^2), and a basis change costs O(m)
@@ -10,22 +10,16 @@
 // — the paper's Fig. 4 LP at medium-to-large scope — solve in
 // milliseconds.
 //
-// Entering columns are priced either by classic Dantzig full pricing or by
-// a candidate-list partial scheme (SolverOptions::pricing); both declare
-// optimality only after a full scan finds no violator and keep the Bland
-// anti-cycling fallback, so the optimum is pricing-invariant.
+// Entering columns are priced by a candidate-list partial scheme: a
+// small list of violating columns is refilled by a rotating sector scan
+// and minor iterations re-price only the list. Optimality is declared only
+// after a full wrap finds no violator, and a Bland full-scan fallback
+// breaks stalls (anti-cycling).
 //
 // A solve can be warm-started from the optimal basis of a previous related
 // solve (same canonical shape, moved costs/rhs): a valid, primal-feasible
-// hint skips phase 1 entirely. When the rhs moved, the old optimal basis
-// is typically no longer primal feasible but remains DUAL feasible
-// (reduced costs do not depend on b); with SolverOptions::dual_lane the
-// solver then runs a dual simplex lane — leaving row by primal
-// infeasibility, entering column by the dual ratio test, on the same
-// LU/eta FTRAN-BTRAN machinery — to repair feasibility in a few pivots
-// instead of rebuilding it with phase 1. The lane is a pure accelerator:
-// on any trouble it abandons the hint and cold-starts, so hints and lanes
-// affect iteration counts, never answers.
+// hint skips phase 1 entirely. Any other hint is dropped and the solve
+// cold-starts, so hints affect iteration counts, never answers.
 #pragma once
 
 #include "lp/basis.hpp"
@@ -42,7 +36,7 @@ class RevisedSimplex {
   /// space. When `stats` is non-null it is filled with per-phase iteration
   /// counts, factorization/eta accounting, pricing work, warm-start
   /// outcome, and wall times (backend "revised"). When `hint` names a
-  /// usable basis and options_.warm_start allows it, phase 1 is skipped.
+  /// usable basis, phase 1 is skipped.
   /// When `out_basis` is non-null and the final basis is exportable (all
   /// basic columns structural, status kOptimal) it receives the basis for
   /// later warm starts; otherwise it is cleared.

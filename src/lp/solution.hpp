@@ -1,34 +1,11 @@
 // Solver result types shared by all LP solvers.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "lp/basis.hpp"
 
 namespace cca::lp {
-
-/// How the revised simplex selects the entering column.
-enum class PricingRule {
-  /// Full pricing: scan every nonbasic column, take the most negative
-  /// reduced cost. O(nnz) per pivot; the reference behaviour.
-  kDantzig,
-  /// Candidate-list partial pricing: keep a small list of violating
-  /// columns found by a rotating sector scan; minor iterations re-price
-  /// only the list and the scan resumes where it left off. Optimality is
-  /// still only declared after a full wrap finds no violator, and the
-  /// Bland anti-cycling fallback always scans everything, so the optimum
-  /// is identical — only the pivot path and cost change.
-  kCandidateList,
-};
-
-inline const char* to_string(PricingRule rule) {
-  switch (rule) {
-    case PricingRule::kDantzig: return "dantzig";
-    case PricingRule::kCandidateList: return "candidate";
-  }
-  return "unknown";
-}
 
 enum class SolveStatus {
   kOptimal,
@@ -59,61 +36,40 @@ struct Solution {
   bool optimal() const { return status == SolveStatus::kOptimal; }
 };
 
-/// Per-solve statistics, populated by both simplex backends (a production
-/// solver's iteration/timing report; cf. HiGHS per-solve logs). All fields
-/// except the wall times are deterministic for a given model and backend.
+/// Per-solve statistics (a production solver's iteration/timing report;
+/// cf. HiGHS per-solve logs). All fields except the wall times are
+/// deterministic for a given model.
 struct SolveStats {
-  /// Which implementation ran: "dense" or "revised".
+  /// Which implementation ran: "revised" (the one production path) or
+  /// "dense" (the test-only tableau oracle).
   const char* backend = "";
   /// Pivots per phase (phase 1 drives artificials out; phase 2 optimizes
-  /// the real objective). Together with dual_iterations their sum equals
-  /// Solution::iterations.
+  /// the real objective). Their sum equals Solution::iterations.
   long phase1_iterations = 0;
   long phase2_iterations = 0;
-  /// Basis-inverse rebuilds (revised simplex only; dense stays 0). With
-  /// the sparse engine this counts eta-file-triggered refactorizations.
+  /// Eta-file-triggered refactorizations (revised simplex only).
   long reinversions = 0;
   /// Product-form updates accumulated since the last reinversion when the
   /// solve finished — the length of the pending eta file.
   long eta_length = 0;
   /// Sparse-LU basis factorizations, including the initial one (revised
-  /// simplex only; dense stays 0). reinversions == factorizations - 1 on
-  /// a cold start with no mid-solve basis repair.
+  /// simplex only). reinversions == factorizations - 1 on a cold start.
   long factorizations = 0;
   /// L+U nonzeros of the most recent factorization — the fill-in actually
   /// paid after Markowitz ordering (revised simplex only).
   long factor_fill_nnz = 0;
-  /// Reduced costs evaluated while pricing, across both phases. Under
-  /// candidate-list pricing this is the scan work saved vs Dantzig, whose
-  /// count is ~(nonbasic columns) x iterations.
+  /// Reduced costs evaluated while pricing, across both phases.
   long pricing_candidates = 0;
-  /// Warm start: whether a basis hint was offered, and whether it let the
-  /// solve skip phase 1 — either directly (hint primal feasible) or via
-  /// the dual lane (hint dual feasible, lane restored primal feasibility).
+  /// Warm start: whether a basis hint was offered, and whether it was
+  /// primal feasible and so let the solve skip phase 1.
   bool warm_start_attempted = false;
   bool warm_start_hit = false;
-  /// Dual simplex lane (revised backend, SolverOptions::dual_lane): the
-  /// hint was primal infeasible but priced out dual feasible, and the
-  /// lane ran. dual_iterations counts its pivots; when the lane gives up
-  /// they are still included (the work happened) and a cold start
-  /// follows, so warm_start_hit stays false.
-  bool dual_lane_attempted = false;
-  long dual_iterations = 0;
-  /// Presolve reductions applied before the backend ran (all zero when
-  /// SolverOptions::presolve is off or nothing fired).
-  int presolve_rows_removed = 0;
-  int presolve_cols_removed = 0;
-  int presolve_passes = 0;
   /// Wall-clock per phase and for the whole solve, milliseconds.
-  double presolve_ms = 0.0;
   double phase1_ms = 0.0;
-  double dual_ms = 0.0;
   double phase2_ms = 0.0;
   double total_ms = 0.0;
 
-  long iterations() const {
-    return phase1_iterations + dual_iterations + phase2_iterations;
-  }
+  long iterations() const { return phase1_iterations + phase2_iterations; }
 };
 
 /// What lp::Solver::solve returns: the solution plus the stats that
@@ -122,57 +78,28 @@ struct SolveStats {
 struct SolveResult {
   Solution solution;
   SolveStats stats;
-  /// Final optimal basis (revised simplex, status kOptimal, and every
-  /// basic column structural — empty otherwise). Feed it back as the
-  /// `hint` of a later related solve to warm-start phase 2.
+  /// Final optimal basis (status kOptimal and every basic column
+  /// structural — empty otherwise). Feed it back as the `hint` of a later
+  /// related solve to warm-start phase 2.
   Basis basis;
 
   bool optimal() const { return solution.optimal(); }
   SolveStatus status() const { return solution.status; }
 };
 
-/// Process-wide solver defaults, settable from bench flags
-/// (--lp-pricing / --lp-refactor-interval / --lp-warm-start) so every
-/// solve in a run inherits them without threading options through each
-/// call site. SolverOptions reads them at construction; explicit fields
-/// always win afterwards.
-PricingRule default_pricing();
-void set_default_pricing(PricingRule rule);
-long default_refactor_interval();
-void set_default_refactor_interval(long interval);
-bool default_warm_start();
-void set_default_warm_start(bool enabled);
-bool default_dual_lane();
-void set_default_dual_lane(bool enabled);
-bool default_presolve();
-void set_default_presolve(bool enabled);
-/// Parses "dantzig" / "candidate" (returns false on anything else).
-bool parse_pricing(const std::string& text, PricingRule* out);
-
 /// Options common to the simplex solvers.
 struct SolverOptions {
   long max_iterations = 200000;
   /// Feasibility / reduced-cost tolerance.
   double tolerance = 1e-9;
-  /// Switch from Dantzig to Bland pricing after this many non-improving
-  /// pivots (anti-cycling).
+  /// Switch to Bland pricing after this many non-improving pivots
+  /// (anti-cycling).
   long stall_limit = 500;
   /// RevisedSimplex: smallest acceptable pivot magnitude in the ratio test.
   double pivot_tolerance = 1e-7;
   /// RevisedSimplex: refactorize the basis after this many eta updates to
   /// shed accumulated floating-point error and cap eta-file length.
-  long refactor_interval = default_refactor_interval();
-  /// RevisedSimplex: entering-column selection.
-  PricingRule pricing = default_pricing();
-  /// Whether Solver::solve may use a provided/cached basis hint.
-  bool warm_start = default_warm_start();
-  /// RevisedSimplex: when a warm-start hint is primal infeasible but dual
-  /// feasible (the post-rhs-perturbation shape), repair it with the dual
-  /// simplex lane instead of discarding it and cold-starting phase 1.
-  bool dual_lane = default_dual_lane();
-  /// Solver: run the presolve/postsolve pass (lp/presolve.hpp) around the
-  /// backend. Ignored by the backends themselves.
-  bool presolve = default_presolve();
+  long refactor_interval = 100;
 };
 
 }  // namespace cca::lp

@@ -1,27 +1,11 @@
 #include "lp/solver.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <string_view>
-
 #include "common/metrics.hpp"
-#include "lp/dense_simplex.hpp"
-#include "lp/presolve.hpp"
 #include "lp/revised_simplex.hpp"
 
 namespace cca::lp {
 
 namespace {
-
-// Process-wide defaults behind the --lp-* bench flags. Plain atomics: they
-// are set once during flag parsing before any solving starts, and reads
-// just need to be tear-free.
-std::atomic<PricingRule> g_pricing{PricingRule::kCandidateList};
-std::atomic<long> g_refactor_interval{100};
-std::atomic<bool> g_warm_start{true};
-std::atomic<bool> g_dual_lane{true};
-std::atomic<bool> g_presolve{true};
-std::atomic<SolverKind> g_solver_kind{SolverKind::kAuto};
 
 /// Feeds one solve's stats into the process-wide registry. Handles are
 /// function-local statics so repeated solves skip the name lookup.
@@ -30,21 +14,13 @@ void record_metrics(const SolveResult& result) {
   if (!common::metrics_enabled()) return;
   auto& reg = MetricsRegistry::global();
   static common::Counter& solves = reg.counter("lp.solves");
-  static common::Counter& solves_dense = reg.counter("lp.solves.dense");
-  static common::Counter& solves_revised = reg.counter("lp.solves.revised");
-  static common::Counter& solves_presolve = reg.counter("lp.solves.presolve");
   static common::Counter& phase1 = reg.counter("lp.iterations.phase1");
   static common::Counter& phase2 = reg.counter("lp.iterations.phase2");
-  static common::Counter& dual = reg.counter("lp.iterations.dual");
   static common::Counter& reinversions = reg.counter("lp.reinversions");
   static common::Counter& factorizations = reg.counter("lp.factorizations");
   static common::Counter& candidates = reg.counter("lp.pricing.candidates");
   static common::Counter& warm_hits = reg.counter("lp.warm_start.hits");
   static common::Counter& warm_misses = reg.counter("lp.warm_start.misses");
-  static common::Counter& dual_attempts = reg.counter("lp.dual_lane.attempts");
-  static common::Counter& dual_repairs = reg.counter("lp.dual_lane.repairs");
-  static common::Counter& pre_rows = reg.counter("lp.presolve.rows_removed");
-  static common::Counter& pre_cols = reg.counter("lp.presolve.cols_removed");
   static common::Histogram& eta = reg.histogram("lp.eta_length");
   static common::Histogram& fill = reg.histogram("lp.factor_fill_nnz");
   static common::Histogram& iters = reg.histogram("lp.iterations.per_solve");
@@ -52,15 +28,8 @@ void record_metrics(const SolveResult& result) {
 
   const SolveStats& s = result.stats;
   solves.add();
-  if (s.backend == std::string_view("dense"))
-    solves_dense.add();
-  else if (s.backend == std::string_view("presolve"))
-    solves_presolve.add();
-  else
-    solves_revised.add();
   phase1.add(s.phase1_iterations);
   phase2.add(s.phase2_iterations);
-  dual.add(s.dual_iterations);
   reinversions.add(s.reinversions);
   factorizations.add(s.factorizations);
   candidates.add(s.pricing_candidates);
@@ -70,206 +39,18 @@ void record_metrics(const SolveResult& result) {
     else
       warm_misses.add();
   }
-  if (s.dual_lane_attempted) {
-    dual_attempts.add();
-    if (s.warm_start_hit) dual_repairs.add();
-  }
-  pre_rows.add(s.presolve_rows_removed);
-  pre_cols.add(s.presolve_cols_removed);
   eta.observe(s.eta_length);
   fill.observe(s.factor_fill_nnz);
   iters.observe(s.iterations());
   solve_timer.add_ns(static_cast<long long>(s.total_ms * 1e6));
 }
 
-/// Dispatches to a simplex backend, resolving kAuto and mapping the
-/// dual-lane SolverKinds onto SolverOptions::dual_lane: explicit
-/// `revised` pins the primal-only PR-4 behaviour, `dual` / `auto-dual`
-/// force the lane, `auto` leaves whatever the options carry.
-SolveResult run_backend(SolverKind requested, SolverOptions options,
-                        const Model& model, const Basis* hint) {
-  SolverKind kind =
-      requested == SolverKind::kAuto ? default_solver_kind() : requested;
-  const bool usable_hint =
-      hint != nullptr && !hint->empty() && options.warm_start;
-  bool use_dense = false;
-  switch (kind) {
-    case SolverKind::kDense:
-      use_dense = true;
-      break;
-    case SolverKind::kRevised:
-      options.dual_lane = false;
-      break;
-    case SolverKind::kDual:
-      options.dual_lane = true;
-      break;
-    case SolverKind::kAutoDual:
-      options.dual_lane = true;
-      [[fallthrough]];
-    case SolverKind::kAuto:
-      // Only the revised backend understands basis hints, so a hinted
-      // solve must not be size-dispatched to the dense tableau.
-      use_dense = !usable_hint && Solver::choose(model) == SolverKind::kDense;
-      break;
-  }
-  SolveResult result;
-  if (use_dense)
-    result.solution = DenseSimplex(options).solve(model, &result.stats);
-  else
-    result.solution = RevisedSimplex(options).solve(
-        model, &result.stats, usable_hint ? hint : nullptr, &result.basis);
-  return result;
-}
-
-void fill_presolve_stats(const Presolve& pre, double pre_ms,
-                         SolveStats* stats) {
-  stats->presolve_rows_removed = pre.stats().rows_removed();
-  stats->presolve_cols_removed = pre.stats().cols_removed();
-  stats->presolve_passes = pre.stats().passes;
-  stats->presolve_ms = pre_ms;
-  stats->total_ms += pre_ms;
-}
-
 }  // namespace
 
-PricingRule default_pricing() { return g_pricing.load(); }
-void set_default_pricing(PricingRule rule) { g_pricing.store(rule); }
-long default_refactor_interval() { return g_refactor_interval.load(); }
-void set_default_refactor_interval(long interval) {
-  g_refactor_interval.store(interval);
-}
-bool default_warm_start() { return g_warm_start.load(); }
-void set_default_warm_start(bool enabled) { g_warm_start.store(enabled); }
-bool default_dual_lane() { return g_dual_lane.load(); }
-void set_default_dual_lane(bool enabled) { g_dual_lane.store(enabled); }
-bool default_presolve() { return g_presolve.load(); }
-void set_default_presolve(bool enabled) { g_presolve.store(enabled); }
-SolverKind default_solver_kind() { return g_solver_kind.load(); }
-void set_default_solver_kind(SolverKind kind) { g_solver_kind.store(kind); }
-
-bool parse_pricing(const std::string& text, PricingRule* out) {
-  if (text == "dantzig") {
-    *out = PricingRule::kDantzig;
-    return true;
-  }
-  if (text == "candidate") {
-    *out = PricingRule::kCandidateList;
-    return true;
-  }
-  return false;
-}
-
-bool parse_solver_kind(const std::string& text, SolverKind* out) {
-  if (text == "auto") {
-    *out = SolverKind::kAuto;
-    return true;
-  }
-  if (text == "dense") {
-    *out = SolverKind::kDense;
-    return true;
-  }
-  if (text == "revised") {
-    *out = SolverKind::kRevised;
-    return true;
-  }
-  if (text == "dual") {
-    *out = SolverKind::kDual;
-    return true;
-  }
-  if (text == "auto-dual") {
-    *out = SolverKind::kAutoDual;
-    return true;
-  }
-  return false;
-}
-
-SolverKind Solver::choose(const Model& model) {
-  // The dense tableau is m x (n + slacks + artificials) doubles and every
-  // pivot touches all of it; the revised simplex prices sparse columns
-  // against an LU-factorized basis. Dense wins only on small compact
-  // programs; anything wide (many columns) or tall goes revised.
-  const auto m = static_cast<long>(model.num_constraints());
-  const auto n = static_cast<long>(model.num_variables());
-  if (m <= 400 && n <= 2000 && m * (n + 2 * m) <= 4'000'000)
-    return SolverKind::kDense;
-  return SolverKind::kRevised;
-}
-
 SolveResult Solver::solve(const Model& model, const Basis* hint) const {
-  using Clock = std::chrono::steady_clock;
-  const auto ms_since = [](Clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-  };
-
   SolveResult result;
-  bool done = false;
-  const bool hint_offered =
-      hint != nullptr && !hint->empty() && options_.warm_start;
-  if (options_.presolve) {
-    const auto presolve_start = Clock::now();
-    Presolve pre;
-    const PresolveStatus pstatus = pre.run(model);
-    const double pre_ms = ms_since(presolve_start);
-    if (pstatus == PresolveStatus::kInfeasible) {
-      result.stats.backend = "presolve";
-      result.solution.status = SolveStatus::kInfeasible;
-      fill_presolve_stats(pre, pre_ms, &result.stats);
-      done = true;
-    } else if (pstatus == PresolveStatus::kReduced && pre.reduced_anything()) {
-      const Model& reduced = pre.reduced();
-      if (reduced.num_variables() == 0 && reduced.num_constraints() == 0) {
-        // Presolve solved the whole program; postsolve reconstructs both
-        // the point and (best effort) a basis so warm-start caches stay
-        // populated. An offered hint counts as a hit: no phase 1 ran.
-        result.stats.backend = "presolve";
-        result.solution.status = SolveStatus::kOptimal;
-        result.solution.x = pre.postsolve_solution({});
-        result.solution.objective = model.objective_value(result.solution.x);
-        result.basis = pre.postsolve_basis(Basis{});
-        if (hint_offered) {
-          result.stats.warm_start_attempted = true;
-          result.stats.warm_start_hit = true;
-        }
-        fill_presolve_stats(pre, pre_ms, &result.stats);
-        done = true;
-      } else {
-        // Crush the caller's hint into the reduced space (best effort —
-        // an untranslatable basis just means a cold start inside).
-        Basis crushed;
-        const Basis* inner_hint = nullptr;
-        if (hint_offered) {
-          crushed = pre.crush_basis(*hint);
-          if (!crushed.empty()) inner_hint = &crushed;
-        }
-        result = run_backend(kind_, options_, reduced, inner_hint);
-        fill_presolve_stats(pre, pre_ms, &result.stats);
-        if (hint_offered) result.stats.warm_start_attempted = true;
-        if (result.optimal()) {
-          result.solution.x = pre.postsolve_solution(result.solution.x);
-          result.solution.objective =
-              model.objective_value(result.solution.x);
-          result.basis = pre.postsolve_basis(result.basis);
-        } else {
-          result.basis = Basis{};
-        }
-        done = true;
-      }
-    } else {
-      // kAbandoned, or no rule fired: solve the original model directly
-      // but still report the (cheap) pass in the stats.
-      result.stats.presolve_passes = pre.stats().passes;
-      result.stats.presolve_ms = pre_ms;
-    }
-  }
-  if (!done) {
-    const double pre_ms = result.stats.presolve_ms;
-    const int pre_passes = result.stats.presolve_passes;
-    result = run_backend(kind_, options_, model, hint);
-    result.stats.presolve_ms = pre_ms;
-    result.stats.presolve_passes = pre_passes;
-    result.stats.total_ms += pre_ms;
-  }
+  result.solution =
+      RevisedSimplex(options_).solve(model, &result.stats, hint, &result.basis);
   record_metrics(result);
   return result;
 }

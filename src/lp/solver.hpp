@@ -1,22 +1,10 @@
-// Solver facade: presolve + backend choice + postsolve.
+// Solver facade: the one LP path every caller takes.
 //
-// When SolverOptions::presolve is on (the default), every solve first
-// runs the reduction pass of lp/presolve.hpp, solves the smaller model,
-// and maps the optimum — primal point and basis — back to the caller's
-// model, so WarmStartCache entries keep working transparently across
-// presolve: cached bases are crushed into the reduced space on the way
-// in and postsolved back on the way out.
-//
-// The backend choice then picks the right simplex implementation for the
-// problem size. Small programs go to the dense tableau (lower constant
-// factors, easiest to audit); anything larger goes to the revised
-// simplex, whose memory footprint is O(nnz + LU fill) rather than
-// O(m * n). A warm-start basis hint forces the revised backend (the dense
-// tableau cannot use one), so repeated related solves always get basis
-// reuse — including the dual warm-restart lane (see revised_simplex.hpp).
+// Every solve runs the revised simplex (lp/revised_simplex.hpp) with
+// candidate-list pricing, refactorizing every SolverOptions::
+// refactor_interval pivots, and primal warm starts from a basis hint or a
+// WarmStartCache. The facade adds the per-solve lp.* metrics on top.
 #pragma once
-
-#include <string>
 
 #include "lp/basis.hpp"
 #include "lp/model.hpp"
@@ -24,42 +12,15 @@
 
 namespace cca::lp {
 
-enum class SolverKind {
-  /// Size-based dense/revised choice; the dual lane follows
-  /// SolverOptions::dual_lane (process default: on).
-  kAuto,
-  kDense,
-  /// Revised simplex with the dual warm-restart lane disabled — the PR-4
-  /// primal-only behaviour, kept addressable for ablations.
-  kRevised,
-  /// Revised simplex with the dual lane forced on.
-  kDual,
-  /// Size-based choice with the dual lane forced on (hinted solves still
-  /// go revised, where the lane lives).
-  kAutoDual,
-};
-
-/// Process-wide default used when a Solver is constructed with kAuto,
-/// settable from bench flags (--lp-backend). kAuto means "size-based
-/// choice" as usual.
-SolverKind default_solver_kind();
-void set_default_solver_kind(SolverKind kind);
-/// Parses "auto" / "dense" / "revised" / "dual" / "auto-dual" (returns
-/// false on anything else).
-bool parse_solver_kind(const std::string& text, SolverKind* out);
-
 class Solver {
  public:
-  explicit Solver(SolverKind kind = SolverKind::kAuto,
-                  SolverOptions options = {})
-      : kind_(kind), options_(options) {}
+  explicit Solver(SolverOptions options = {}) : options_(options) {}
 
   /// Solves `model` and returns the solution together with per-solve
-  /// statistics from whichever backend ran, plus the final basis when the
-  /// revised backend produced a reusable one. When `hint` is non-null and
-  /// non-empty (and options().warm_start allows), the revised simplex
-  /// tries to start phase 2 directly from it; an unusable hint silently
-  /// cold-starts, so hints never change answers. Also records lp.*
+  /// statistics, plus the final basis when it is reusable. When `hint` is
+  /// non-null and non-empty, the revised simplex tries to start phase 2
+  /// directly from it; an unusable hint silently cold-starts, so hints
+  /// never change answers. A cold solve passes no hint. Also records lp.*
   /// metrics (solve counts, per-phase iterations, factorizations, fill,
   /// pricing work, warm-start hits, wall time) in the process-wide
   /// registry when metrics are enabled.
@@ -70,14 +31,7 @@ class Solver {
   /// cold.
   SolveResult solve(const Model& model, WarmStartCache* cache) const;
 
-  /// The implementation kAuto would dispatch to for this model (before
-  /// considering hints or the process-wide default).
-  static SolverKind choose(const Model& model);
-
-  const SolverOptions& options() const { return options_; }
-
  private:
-  SolverKind kind_;
   SolverOptions options_;
 };
 

@@ -1,45 +1,28 @@
-// Strict parsing of the bench-wide LP engine flags (bench/testbed.hpp).
-// Every enum-valued flag must hard-error on a bad value with a message
-// that names the flag, lists the accepted values, and suggests the
-// closest candidate — the same contract reject_unused() gives unknown
-// flag NAMES, extended to flag VALUES.
+// Strict parsing of the bench-wide flags (bench/testbed.hpp). Every
+// enum-valued flag must hard-error on a bad value with a message that
+// names the flag, lists the accepted values, and suggests the closest
+// candidate — the same contract reject_unused() gives unknown flag NAMES,
+// extended to flag VALUES.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "bench/testbed.hpp"
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "core/strategy.hpp"
-#include "lp/solution.hpp"
-#include "lp/solver.hpp"
 #include "search/block_postings.hpp"
 
 namespace cca::bench {
 namespace {
 
-// from_cli applies good values process-wide; snapshot and restore the
-// defaults so these tests cannot leak into LP tests in the same binary.
+// from_cli applies --codec process-wide; snapshot and restore the
+// default so these tests cannot leak into search tests in the same binary.
 class BenchFlags : public ::testing::Test {
  protected:
-  void SetUp() override {
-    pricing_ = lp::default_pricing();
-    refactor_ = lp::default_refactor_interval();
-    warm_ = lp::default_warm_start();
-    dual_lane_ = lp::default_dual_lane();
-    presolve_ = lp::default_presolve();
-    kind_ = lp::default_solver_kind();
-    codec_ = search::default_posting_codec();
-  }
-  void TearDown() override {
-    lp::set_default_pricing(pricing_);
-    lp::set_default_refactor_interval(refactor_);
-    lp::set_default_warm_start(warm_);
-    lp::set_default_dual_lane(dual_lane_);
-    lp::set_default_presolve(presolve_);
-    lp::set_default_solver_kind(kind_);
-    search::set_default_posting_codec(codec_);
-  }
+  void SetUp() override { codec_ = search::default_posting_codec(); }
+  void TearDown() override { search::set_default_posting_codec(codec_); }
 
   static TestbedConfig parse(std::initializer_list<const char*> flags) {
     std::vector<const char*> argv{"bench"};
@@ -59,82 +42,27 @@ class BenchFlags : public ::testing::Test {
   }
 
  private:
-  lp::PricingRule pricing_{};
-  long refactor_ = 0;
-  bool warm_ = false;
-  bool dual_lane_ = false;
-  bool presolve_ = false;
-  lp::SolverKind kind_{};
   search::PostingCodec codec_{};
 };
 
-TEST_F(BenchFlags, LpBackendAcceptsAllFiveValues) {
-  const struct {
-    const char* flag;
-    lp::SolverKind kind;
-  } cases[] = {
-      {"--lp-backend=auto", lp::SolverKind::kAuto},
-      {"--lp-backend=dense", lp::SolverKind::kDense},
-      {"--lp-backend=revised", lp::SolverKind::kRevised},
-      {"--lp-backend=dual", lp::SolverKind::kDual},
-      {"--lp-backend=auto-dual", lp::SolverKind::kAutoDual},
-  };
-  for (const auto& c : cases) {
-    parse({c.flag});
-    EXPECT_EQ(lp::default_solver_kind(), c.kind) << c.flag;
+TEST_F(BenchFlags, RetiredLpFlagsAreUnknownFlags) {
+  // The LP runs one path; a script still passing one of the old --lp-*
+  // knobs gets the unknown-flag error naming it.
+  for (const std::string name : {"lp-backend", "lp-presolve", "lp-pricing",
+                                 "lp-warm-start", "lp-refactor-interval"}) {
+    const std::string flag = "--" + name + "=on";
+    const char* argv[] = {"bench", flag.c_str()};
+    const common::CliArgs args(2, argv);
+    TestbedConfig::from_cli(args);
+    try {
+      args.reject_unused();
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const common::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag --" + name),
+                std::string::npos)
+          << e.what();
+    }
   }
-}
-
-TEST_F(BenchFlags, LpBackendPinsTheDualLaneDefault) {
-  parse({"--lp-backend=revised"});
-  EXPECT_FALSE(lp::default_dual_lane());  // PR-4 primal-only ablation lane
-  parse({"--lp-backend=dual"});
-  EXPECT_TRUE(lp::default_dual_lane());
-  parse({"--lp-backend=auto-dual"});
-  EXPECT_TRUE(lp::default_dual_lane());
-}
-
-TEST_F(BenchFlags, LpBackendBadValueNamesFlagAndSuggests) {
-  const std::string message = error_of({"--lp-backend=duel"});
-  EXPECT_NE(message.find("--lp-backend"), std::string::npos) << message;
-  EXPECT_NE(message.find("'duel'"), std::string::npos) << message;
-  EXPECT_NE(message.find("'auto-dual'"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'dual'?"), std::string::npos)
-      << message;
-}
-
-TEST_F(BenchFlags, LpBackendBadValueWithNoNearMissOmitsSuggestion) {
-  const std::string message = error_of({"--lp-backend=zzz"});
-  EXPECT_NE(message.find("--lp-backend"), std::string::npos) << message;
-  EXPECT_EQ(message.find("did you mean"), std::string::npos) << message;
-}
-
-TEST_F(BenchFlags, LpPresolveParsesOnAndOff) {
-  parse({"--lp-presolve=off"});
-  EXPECT_FALSE(lp::default_presolve());
-  parse({"--lp-presolve=on"});
-  EXPECT_TRUE(lp::default_presolve());
-}
-
-TEST_F(BenchFlags, LpPresolveBadValueNamesFlagAndSuggests) {
-  const std::string message = error_of({"--lp-presolve=onn"});
-  EXPECT_NE(message.find("--lp-presolve"), std::string::npos) << message;
-  EXPECT_NE(message.find("'onn'"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'on'?"), std::string::npos) << message;
-}
-
-TEST_F(BenchFlags, LpPricingBadValueSuggests) {
-  const std::string message = error_of({"--lp-pricing=dantzg"});
-  EXPECT_NE(message.find("--lp-pricing"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'dantzig'?"), std::string::npos)
-      << message;
-}
-
-TEST_F(BenchFlags, LpWarmStartBadValueSuggests) {
-  const std::string message = error_of({"--lp-warm-start=offf"});
-  EXPECT_NE(message.find("--lp-warm-start"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'off'?"), std::string::npos)
-      << message;
 }
 
 TEST_F(BenchFlags, CodecAcceptsBothValuesAndDefaultsToBlock) {

@@ -1,18 +1,15 @@
-// CanonicalForm edge cases: the degenerate model shapes that presolve
-// (lp/presolve.hpp) eliminates — fixed variables (lb == ub), free
-// variables, empty rows, empty columns, all-zero objectives — must
-// already canonicalize and solve correctly WITHOUT presolve, because an
-// unusable presolve reduction falls back to solving the original model.
-// These tests lock that baseline behavior, including the index-map
-// accessors (column_for_variable / minus_column_for_variable /
-// upper_bound_row_for_variable) that basis translation across a presolve
-// reduction relies on.
+// CanonicalForm edge cases: degenerate model shapes — fixed variables
+// (lb == ub), free variables, empty rows, empty columns, all-zero
+// objectives — must canonicalize and solve correctly in the revised
+// simplex, checked against the test-only DenseSimplex oracle. These tests
+// also lock the index-map accessors (column_for_variable /
+// minus_column_for_variable / upper_bound_row_for_variable).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "lp/canonical.hpp"
-#include "lp/dense_simplex.hpp"
+#include "dense_simplex.hpp"
 #include "lp/model.hpp"
 #include "lp/revised_simplex.hpp"
 
@@ -88,8 +85,8 @@ TEST(CanonicalEdge, UpperBoundedOnlyVariableUsesMinusColumn) {
 
 TEST(CanonicalEdge, EmptyRowsCanonicalizeAndSolve) {
   // A constraint with no terms is vacuous when its rhs allows 0. Both
-  // solvers must shrug it off (presolve removes it; without presolve the
-  // slack or artificial column satisfies it).
+  // solvers must shrug it off (the slack or artificial column satisfies
+  // it).
   for (const auto rel :
        {Relation::kLessEqual, Relation::kGreaterEqual, Relation::kEqual}) {
     Model m;

@@ -2,7 +2,7 @@
 // and degenerate cases.
 #include <gtest/gtest.h>
 
-#include "lp/dense_simplex.hpp"
+#include "dense_simplex.hpp"
 #include "lp/model.hpp"
 
 namespace cca::lp {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "dense_simplex.hpp"
 
 #include "core/component_solver.hpp"
 #include "core/lp_formulation.hpp"
@@ -101,17 +102,16 @@ TEST(LpFormulation, DenseAndRevisedAgreeOnPinnedInstance) {
   inst.pin(0, 0);
   inst.pin(3, 1);
   const LpFormulation f(inst);
-  const lp::SolveResult dense =
-      lp::Solver(lp::SolverKind::kDense).solve(f.model());
-  const lp::SolveResult revised =
-      lp::Solver(lp::SolverKind::kRevised).solve(f.model());
+  lp::SolveStats dense_stats;
+  const lp::Solution dense = lp::DenseSimplex().solve(f.model(), &dense_stats);
+  const lp::SolveResult revised = lp::Solver().solve(f.model());
   ASSERT_TRUE(dense.optimal());
   ASSERT_TRUE(revised.optimal());
-  EXPECT_NEAR(dense.solution.objective, revised.solution.objective, 1e-6);
-  // The facade reports which backend ran and iteration counts that add up.
-  EXPECT_STREQ(dense.stats.backend, "dense");
+  EXPECT_NEAR(dense.objective, revised.solution.objective, 1e-6);
+  // Each backend reports its name and iteration counts that add up.
+  EXPECT_STREQ(dense_stats.backend, "dense");
   EXPECT_STREQ(revised.stats.backend, "revised");
-  EXPECT_EQ(dense.stats.iterations(), dense.solution.iterations);
+  EXPECT_EQ(dense_stats.iterations(), dense.iterations);
   EXPECT_EQ(revised.stats.iterations(), revised.solution.iterations);
 }
 

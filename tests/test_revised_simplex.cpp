@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "lp/dense_simplex.hpp"
+#include "dense_simplex.hpp"
 #include "lp/model.hpp"
 #include "lp/revised_simplex.hpp"
 

@@ -1,8 +1,8 @@
 // The sparse LP engine: SparseLu kernel unit tests, a 200-case
 // dense-vs-sparse property sweep over a mixed population (feasible,
-// degenerate, infeasible, unbounded), candidate-list vs Dantzig pricing
-// equivalence, warm-start invariance, and the relative ratio-test
-// tie-band regression on wildly scaled rows.
+// degenerate, infeasible, unbounded) against the test-only DenseSimplex
+// oracle, warm-start invariance and rejection, and the relative
+// ratio-test tie-band regression on wildly scaled rows.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,7 @@
 #include "common/rng.hpp"
 #include "lp/basis.hpp"
 #include "lp/canonical.hpp"
-#include "lp/dense_simplex.hpp"
+#include "dense_simplex.hpp"
 #include "lp/model.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/solver.hpp"
@@ -203,30 +203,11 @@ TEST(SparseDenseAgreement, TwoHundredMixedRandomLps) {
   EXPECT_GT(unbounded, 20);
 }
 
-// ---- Pricing equivalence: candidate list vs Dantzig. ----
-
-TEST(Pricing, CandidateListMatchesDantzigObjectives) {
-  SolverOptions dantzig;
-  dantzig.pricing = PricingRule::kDantzig;
-  SolverOptions candidate;
-  candidate.pricing = PricingRule::kCandidateList;
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    const Model m = random_mixed_lp(seed);
-    const Solution a = RevisedSimplex(dantzig).solve(m);
-    const Solution b = RevisedSimplex(candidate).solve(m);
-    ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status != SolveStatus::kOptimal) continue;
-    ASSERT_NEAR(a.objective, b.objective,
-                1e-7 * (1.0 + std::abs(a.objective)))
-        << "seed " << seed;
-  }
-}
-
 // ---- Warm starts. ----
 
 TEST(WarmStart, ResolveFromOwnBasisSkipsPhase1) {
   const Model m = random_mixed_lp(77, /*force_kind=*/0);
-  const Solver solver(SolverKind::kRevised);
+  const Solver solver;
   const SolveResult cold = solver.solve(m);
   ASSERT_TRUE(cold.optimal());
   ASSERT_FALSE(cold.basis.empty());
@@ -245,7 +226,7 @@ TEST(WarmStart, ResolveFromOwnBasisSkipsPhase1) {
 TEST(WarmStart, CacheOverloadStoresAndReuses) {
   const Model m = random_mixed_lp(123, /*force_kind=*/0);
   WarmStartCache cache;
-  const Solver solver(SolverKind::kRevised);
+  const Solver solver;
   const SolveResult first = solver.solve(m, &cache);
   ASSERT_TRUE(first.optimal());
   EXPECT_FALSE(first.stats.warm_start_hit);
@@ -258,13 +239,54 @@ TEST(WarmStart, CacheOverloadStoresAndReuses) {
               1e-9 * (1.0 + std::abs(first.solution.objective)));
 }
 
+/// Small transportation LP: supplies 3 sources, demands 4 sinks, unique
+/// costs so the optimal vertex (and basis) is unique.
+Model transport_lp(const std::vector<double>& demand) {
+  const std::vector<double> supply = {9.0, 7.0, 8.0};
+  Model m;
+  for (int i = 0; i < 3; ++i)
+    for (int j = 0; j < 4; ++j)
+      m.add_variable(0.0, kInfinity, 1.0 + 0.37 * i + 0.11 * j * j +
+                                         0.05 * i * j);
+  for (int i = 0; i < 3; ++i) {
+    std::vector<Term> terms;
+    for (int j = 0; j < 4; ++j) terms.push_back({4 * i + j, 1.0});
+    m.add_constraint(Relation::kLessEqual, supply[i], std::move(terms));
+  }
+  for (int j = 0; j < 4; ++j) {
+    std::vector<Term> terms;
+    for (int i = 0; i < 3; ++i) terms.push_back({4 * i + j, 1.0});
+    m.add_constraint(Relation::kEqual, demand[j], std::move(terms));
+  }
+  return m;
+}
+
+TEST(WarmStart, PrimalInfeasibleHintColdStarts) {
+  // Moved demands leave the old optimal basis primal infeasible: the
+  // hint is offered, rejected, and the solve runs phase 1 from scratch
+  // to the cold optimum.
+  const Solver solver;
+  const SolveResult base = solver.solve(transport_lp({5.0, 6.0, 4.0, 5.0}));
+  ASSERT_TRUE(base.optimal());
+  ASSERT_FALSE(base.basis.empty());
+  const Model moved = transport_lp({4.0, 2.0, 7.0, 8.0});
+  const SolveResult rejected = solver.solve(moved, &base.basis);
+  ASSERT_TRUE(rejected.optimal());
+  EXPECT_TRUE(rejected.stats.warm_start_attempted);
+  EXPECT_FALSE(rejected.stats.warm_start_hit);
+  EXPECT_GT(rejected.stats.phase1_iterations, 0);
+  const SolveResult cold = solver.solve(moved);
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_NEAR(rejected.solution.objective, cold.solution.objective, 1e-8);
+}
+
 TEST(WarmStart, HintsNeverChangePerturbedAnswers) {
   // Re-solve a perturbed sibling (same structure, nudged rhs and costs)
   // with the original basis as hint: objective must equal the cold solve
   // of the sibling bit-for-tolerance, hit or miss.
   for (std::uint64_t seed = 31; seed <= 40; ++seed) {
     const Model m = random_mixed_lp(seed, /*force_kind=*/0);
-    const Solver solver(SolverKind::kRevised);
+    const Solver solver;
     const SolveResult base = solver.solve(m);
     ASSERT_TRUE(base.optimal()) << "seed " << seed;
 
@@ -284,18 +306,6 @@ TEST(WarmStart, HintsNeverChangePerturbedAnswers) {
                 1e-7 * (1.0 + std::abs(cold.solution.objective)))
         << "seed " << seed;
   }
-}
-
-TEST(WarmStart, DisabledOptionIgnoresHints) {
-  const Model m = random_mixed_lp(55, /*force_kind=*/0);
-  SolverOptions options;
-  options.warm_start = false;
-  const Solver solver(SolverKind::kRevised, options);
-  const SolveResult cold = solver.solve(m);
-  ASSERT_TRUE(cold.optimal());
-  const SolveResult again = solver.solve(m, &cold.basis);
-  EXPECT_FALSE(again.stats.warm_start_attempted);
-  EXPECT_FALSE(again.stats.warm_start_hit);
 }
 
 // ---- Ratio-test tie band: near-degenerate rows at large scale. ----
