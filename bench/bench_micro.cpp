@@ -1,8 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // primitives: MD5 hashing, Zipf sampling, posting-list intersection,
-// pair counting, LP solves, and randomized rounding.
+// pair counting, capacity grouping, optimizer construction, LP solves,
+// and randomized rounding.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "common/zipf.hpp"
 #include "core/component_solver.hpp"
 #include "core/lp_formulation.hpp"
+#include "core/partial_optimizer.hpp"
 #include "core/placement_map.hpp"
 #include "core/rounding.hpp"
 #include "hash/md5.hpp"
@@ -326,6 +329,73 @@ void BM_ComponentLpSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComponentLpSolve)->Arg(25)->Arg(100)->Arg(400);
+
+/// The perfbench grid's data set at default size: vocab 4000, 6000
+/// documents of ~80 distinct words, 40k January queries over 200 topics.
+struct GridData {
+  trace::QueryTrace january;
+  std::vector<std::uint64_t> sizes;
+
+  static const GridData& get() {
+    static const GridData data = [] {
+      trace::CorpusConfig corpus_cfg;
+      corpus_cfg.num_documents = 6000;
+      corpus_cfg.vocabulary_size = 4000;
+      corpus_cfg.mean_distinct_words = 80.0;
+      corpus_cfg.seed = 1;
+      trace::WorkloadConfig query_cfg;
+      query_cfg.vocabulary_size = 4000;
+      query_cfg.num_topics = 200;
+      query_cfg.topic_size = 8;
+      query_cfg.topic_coherence = 0.9;
+      query_cfg.seed = 1;
+      GridData d;
+      d.january = trace::WorkloadModel(query_cfg).generate(40000, 7920);
+      d.sizes = search::InvertedIndex::build(
+                    trace::Corpus::generate(corpus_cfg))
+                    .index_sizes();
+      return d;
+    }();
+    return data;
+  }
+};
+
+core::PartialOptimizerConfig grid_config(int nodes, std::size_t scope) {
+  core::PartialOptimizerConfig cfg;
+  cfg.num_nodes = nodes;
+  cfg.scope = scope;
+  cfg.rounding.trials = 16;
+  return cfg;
+}
+
+/// LPRR's capacity split at the grid's costliest cell (scope 2000, 100
+/// nodes, target_fill 1.0).
+void BM_BuildGroups(benchmark::State& state) {
+  const GridData& data = GridData::get();
+  const core::PartialOptimizer opt(data.january, data.sizes,
+                                   grid_config(100, 2000));
+  core::ComponentSolverOptions options;
+  options.target_fill = 1.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::build_groups(opt.scoped_instance(), options));
+  }
+}
+BENCHMARK(BM_BuildGroups)->Unit(benchmark::kMillisecond);
+
+/// The grid's four scopes built from one trace while the others are alive:
+/// one artifact build and three memo hits per iteration.
+void BM_OptimizerRepeatedTrace(benchmark::State& state) {
+  const GridData& data = GridData::get();
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<core::PartialOptimizer>> live;
+    for (std::size_t scope : {250, 500, 1000, 2000})
+      live.push_back(std::make_unique<core::PartialOptimizer>(
+          data.january, data.sizes, grid_config(20, scope)));
+    benchmark::DoNotOptimize(live);
+  }
+}
+BENCHMARK(BM_OptimizerRepeatedTrace)->Unit(benchmark::kMillisecond);
 
 void BM_FullLpSolve(benchmark::State& state) {
   const core::CcaInstance instance =

@@ -370,6 +370,12 @@ struct Testbed {
   search::InvertedIndex index;
   std::vector<std::uint64_t> sizes;
   double total_index_bytes = 0.0;
+  /// The January trace's pairs, ranking and hyperedges, held for the
+  /// testbed's lifetime: every optimizer built from (january, sizes) with
+  /// the testbed's miner shares this one build, even when grid cells run
+  /// one after another (core::CorrelationArtifacts' memo holds no
+  /// artifacts of its own).
+  std::shared_ptr<const core::CorrelationArtifacts> january_artifacts;
 
   static Testbed build(const TestbedConfig& cfg) {
     trace::CorpusConfig corpus_cfg;
@@ -392,7 +398,8 @@ struct Testbed {
                trace::QueryTrace(),
                search::InvertedIndex(),
                {},
-               0.0};
+               0.0,
+               nullptr};
     tb.january = tb.model.generate(cfg.queries, cfg.seed * 7919 + 1);
     tb.february = tb.model.generate(cfg.queries, cfg.seed * 104729 + 2);
     tb.index =
@@ -400,6 +407,8 @@ struct Testbed {
     tb.sizes = tb.index.index_sizes();
     for (std::uint64_t s : tb.sizes)
       tb.total_index_bytes += static_cast<double>(s);
+    tb.january_artifacts = core::CorrelationArtifacts::of(
+        tb.january, tb.sizes, core::OperationModel::kSmallestPair, cfg.miner);
     return tb;
   }
 

@@ -1,8 +1,9 @@
 #include "core/component_solver.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +46,50 @@ class UnionFind {
   std::vector<int> size_;
 };
 
+/// Positive-cost pair adjacency in CSR form, built once per build_groups
+/// call and shared by peeling and refinement. Object i's neighbours are
+/// edges[offsets[i], offsets[i + 1]), in instance.pairs() order.
+class PairAdjacency {
+ public:
+  explicit PairAdjacency(const CcaInstance& instance)
+      : offsets_(static_cast<std::size_t>(instance.num_objects()) + 1, 0) {
+    for (const PairWeight& p : instance.pairs()) {
+      if (p.cost() <= 0.0) continue;
+      ++offsets_[p.i + 1];
+      ++offsets_[p.j + 1];
+    }
+    for (std::size_t i = 1; i < offsets_.size(); ++i)
+      offsets_[i] += offsets_[i - 1];
+    edges_.resize(offsets_.back());
+    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    for (const PairWeight& p : instance.pairs()) {
+      if (p.cost() <= 0.0) continue;
+      edges_[cursor[p.i]++] = {p.j, p.cost()};
+      edges_[cursor[p.j]++] = {p.i, p.cost()};
+    }
+  }
+
+  std::span<const std::pair<ObjectId, double>> of(ObjectId i) const {
+    return {edges_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;
+  std::vector<std::pair<ObjectId, double>> edges_;
+};
+
+/// Per-object peeling state, indexed by ObjectId. One per peeled
+/// component (pool tasks never share one); peel_piece resets the entries
+/// of the group it is handed and touches no others.
+struct PeelScratch {
+  enum : std::uint8_t { kOutside, kInGroup, kInPiece };
+  explicit PeelScratch(int num_objects)
+      : state(static_cast<std::size_t>(num_objects), kOutside),
+        attachment(static_cast<std::size_t>(num_objects), 0.0) {}
+  std::vector<std::uint8_t> state;
+  std::vector<double> attachment;  // pair cost into the piece
+};
+
 /// Peels one at-most-`limit`-sized piece off an oversized group with a
 /// greedy sweep cut: grow the piece from the largest member by repeatedly
 /// absorbing the unassigned member most strongly attached to it (by pair
@@ -54,43 +99,34 @@ class UnionFind {
 /// sweep's minima land on the weak edges BETWEEN clusters and each piece
 /// tends to be "one node's worth of whole clusters" — the cheap
 /// approximation of what the integer program would have to do once a
-/// component cannot fit on one node.
+/// component cannot fit on one node. Cost: O(group + the group's pairs +
+/// piece * group), no hashing.
 std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
-    const CcaInstance& instance, const std::vector<ObjectId>& group,
-    double limit) {
+    const CcaInstance& instance, const PairAdjacency& adj,
+    const std::vector<ObjectId>& group, double limit, PeelScratch& scratch) {
   CCA_CHECK(group.size() >= 2);
-
-  // Local adjacency restricted to the group.
-  std::unordered_map<ObjectId, std::vector<std::pair<ObjectId, double>>> adj;
-  std::unordered_map<ObjectId, bool> in_group;
-  for (ObjectId i : group) in_group[i] = true;
-  for (const PairWeight& p : instance.pairs()) {
-    if (p.cost() <= 0.0) continue;
-    if (!in_group.count(p.i) || !in_group.count(p.j)) continue;
-    adj[p.i].push_back({p.j, p.cost()});
-    adj[p.j].push_back({p.i, p.cost()});
+  std::vector<std::uint8_t>& state = scratch.state;
+  std::vector<double>& attachment = scratch.attachment;
+  for (ObjectId i : group) {
+    state[i] = PeelScratch::kInGroup;
+    attachment[i] = 0.0;
   }
 
   ObjectId seed = group[0];
   for (ObjectId i : group)
     if (instance.object_size(i) > instance.object_size(seed)) seed = i;
 
-  std::unordered_map<ObjectId, double> attachment;  // non-member -> cost
-  std::unordered_map<ObjectId, bool> in_piece;
   std::vector<ObjectId> absorb_order;
   double piece_size = 0.0;
   double cut = 0.0;  // cost of edges crossing the piece / rest boundary
 
   auto absorb = [&](ObjectId i) {
     absorb_order.push_back(i);
-    in_piece[i] = true;
+    state[i] = PeelScratch::kInPiece;
     piece_size += instance.object_size(i);
-    if (auto it = attachment.find(i); it != attachment.end()) {
-      cut -= it->second;
-      attachment.erase(it);
-    }
-    for (const auto& [nbr, cost] : adj[i]) {
-      if (!in_piece[nbr]) {
+    cut -= attachment[i];  // 0 when nothing in the piece touches i
+    for (const auto& [nbr, cost] : adj.of(i)) {
+      if (state[nbr] == PeelScratch::kInGroup) {
         attachment[nbr] += cost;
         cut += cost;
       }
@@ -109,11 +145,13 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
     best_cut = cut;
   }
   while (piece_size < limit && absorb_order.size() + 1 < group.size()) {
+    // Strongest attachment; ties go to the strictly larger object, then
+    // to the earlier member in group order.
     ObjectId best = -1;
     double best_gain = -1.0;
     for (ObjectId i : group) {
-      if (in_piece[i]) continue;
-      const double gain = attachment.count(i) ? attachment[i] : 0.0;
+      if (state[i] == PeelScratch::kInPiece) continue;
+      const double gain = attachment[i];
       if (gain > best_gain ||
           (gain == best_gain && best >= 0 &&
            instance.object_size(i) > instance.object_size(best))) {
@@ -136,11 +174,10 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
   std::vector<ObjectId> piece(absorb_order.begin(),
                               absorb_order.begin() +
                                   static_cast<std::ptrdiff_t>(prefix));
-  std::unordered_map<ObjectId, bool> chosen;
-  for (ObjectId i : piece) chosen[i] = true;
+  for (ObjectId i : piece) state[i] = PeelScratch::kOutside;
   std::vector<ObjectId> rest;
   for (ObjectId i : group)
-    if (!chosen.count(i)) rest.push_back(i);
+    if (state[i] != PeelScratch::kOutside) rest.push_back(i);
   CCA_CHECK(!rest.empty());
   return {std::move(piece), std::move(rest)};
 }
@@ -149,25 +186,19 @@ std::pair<std::vector<ObjectId>, std::vector<ObjectId>> peel_piece(
 /// every object and moves it to the group holding most of its pair cost,
 /// capacity permitting. Peeling decides the coarse shape; this pass cleans
 /// up the objects the sweep absorbed just before/after a cut landed.
-void refine_groups(const CcaInstance& instance,
+/// Which of two equally attached groups wins follows `attach`'s iteration
+/// order, so the map stays an unordered_map.
+void refine_groups(const CcaInstance& instance, const PairAdjacency& adj,
                    std::vector<int>& group_of, std::vector<double>& sizes,
                    double limit, int passes) {
-  // Per-object adjacency once (pairs with positive cost).
-  std::vector<std::vector<std::pair<ObjectId, double>>> adj(
-      static_cast<std::size_t>(instance.num_objects()));
-  for (const PairWeight& p : instance.pairs()) {
-    if (p.cost() <= 0.0) continue;
-    adj[p.i].push_back({p.j, p.cost()});
-    adj[p.j].push_back({p.i, p.cost()});
-  }
-
   std::unordered_map<int, double> attach;
   for (int pass = 0; pass < passes; ++pass) {
     bool moved = false;
     for (int i = 0; i < instance.num_objects(); ++i) {
-      if (adj[i].empty()) continue;
+      const auto neighbours = adj.of(i);
+      if (neighbours.empty()) continue;
       attach.clear();
-      for (const auto& [nbr, cost] : adj[i]) attach[group_of[nbr]] += cost;
+      for (const auto& [nbr, cost] : neighbours) attach[group_of[nbr]] += cost;
       const int current = group_of[i];
       int best = current;
       double best_gain = attach.count(current) ? attach[current] : 0.0;
@@ -244,18 +275,22 @@ PlacementGroups build_groups(const CcaInstance& instance,
   // components run concurrently on the PR-1 pool; merging in component
   // order keeps group numbering (and everything downstream, including
   // stdout) identical for any --threads.
+  const PairAdjacency adj(instance);
   std::vector<std::vector<std::vector<ObjectId>>> peeled =
       common::parallel_map(
           static_cast<std::size_t>(cs.num_components()), [&](std::size_t c) {
             std::vector<std::vector<ObjectId>> pieces;
             std::vector<ObjectId> rest = cs.members[c];
             double rest_size = cs.sizes[c];
+            std::optional<PeelScratch> scratch;
             // Peel limit-sized pieces until the remainder fits. A single
             // object above the limit cannot be split further; it is
             // emitted whole and the capacity ablation reports the
             // resulting overload.
             while (rest_size > limit && rest.size() >= 2) {
-              auto [piece, remainder] = peel_piece(instance, rest, limit);
+              if (!scratch) scratch.emplace(instance.num_objects());
+              auto [piece, remainder] =
+                  peel_piece(instance, adj, rest, limit, *scratch);
               for (ObjectId i : piece) rest_size -= instance.object_size(i);
               pieces.push_back(std::move(piece));
               rest = std::move(remainder);
@@ -271,7 +306,7 @@ PlacementGroups build_groups(const CcaInstance& instance,
                             -1);
   for (std::size_t g = 0; g < groups.members.size(); ++g)
     for (ObjectId i : groups.members[g]) group_of[i] = static_cast<int>(g);
-  refine_groups(instance, group_of, groups.sizes, limit, /*passes=*/3);
+  refine_groups(instance, adj, group_of, groups.sizes, limit, /*passes=*/3);
 
   PlacementGroups refined;
   std::vector<int> new_index(groups.members.size(), -1);

@@ -1,9 +1,12 @@
 #include "core/correlation.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 
 #include "common/check.hpp"
+#include "common/metrics.hpp"
 
 namespace cca::core {
 
@@ -81,8 +84,7 @@ std::vector<KeywordPairWeight> mine_pair_weights(
   return build_pair_weights(stream, index_sizes);
 }
 
-std::vector<KeywordHyperedge> build_hyperedges(
-    const trace::QueryTrace& trace) {
+KeywordHyperedges build_hyperedges(const trace::QueryTrace& trace) {
   // Queries arrive with sorted distinct keywords (QueryTrace::add_query
   // canonicalizes), so the keyword vector itself is the aggregation key.
   // Sorting the multi-keyword queries by pin set and counting equal runs
@@ -93,16 +95,22 @@ std::vector<KeywordHyperedge> build_hyperedges(
     if (q.size() >= 2) sets.push_back(&q.keywords);
   std::sort(sets.begin(), sets.end(),
             [](const auto* a, const auto* b) { return *a < *b; });
-  std::vector<KeywordHyperedge> out;
+  KeywordHyperedges out;
   const double rate_unit =
       trace.empty() ? 0.0 : 1.0 / static_cast<double>(trace.size());
   for (std::size_t i = 0; i < sets.size();) {
     std::size_t j = i + 1;
     while (j < sets.size() && *sets[j] == *sets[i]) ++j;
-    out.push_back(KeywordHyperedge{
-        *sets[i], static_cast<double>(j - i) * rate_unit});
+    out.pins.insert(out.pins.end(), sets[i]->begin(), sets[i]->end());
+    CCA_CHECK_MSG(out.pins.size() <= UINT32_MAX, "too many hyperedge pins");
+    out.offsets.push_back(static_cast<std::uint32_t>(out.pins.size()));
+    out.weights.push_back(static_cast<double>(j - i) * rate_unit);
     i = j;
   }
+  // The table lives as long as the optimizers sharing it: keep no slack.
+  out.offsets.shrink_to_fit();
+  out.pins.shrink_to_fit();
+  out.weights.shrink_to_fit();
   return out;
 }
 
@@ -146,6 +154,164 @@ std::vector<trace::KeywordId> importance_ranking(
             });
   ranking.insert(ranking.end(), tail.begin(), tail.end());
   return ranking;
+}
+
+// ---------------------------------------------------------------------------
+// Per-trace artifacts and their memo.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool same_miner(const MinerOptions& a, const MinerOptions& b) {
+  return a.kind == b.kind &&
+         (a.kind == MinerOptions::Kind::kExact || a.sketch == b.sketch);
+}
+
+/// Fast reject for memo lookups; equal hashes are confirmed by a full key
+/// comparison (CorrelationArtifacts::matches).
+std::uint64_t key_hash(const trace::QueryTrace& trace,
+                       const std::vector<std::uint64_t>& index_sizes,
+                       OperationModel model, const MinerOptions& miner) {
+  std::uint64_t h = trace::hash_mix(static_cast<std::uint64_t>(model),
+                                    static_cast<std::uint64_t>(miner.kind));
+  if (miner.kind == MinerOptions::Kind::kSketch)
+    for (const std::size_t v : {miner.sketch.top_objects,
+                                miner.sketch.top_pairs, miner.sketch.cm_width,
+                                miner.sketch.cm_depth})
+      h = trace::hash_mix(h, v);
+  for (const std::uint64_t size : index_sizes) h = trace::hash_mix(h, size);
+  return trace::content_hash(trace, h);
+}
+
+}  // namespace
+
+/// The process-wide memo behind CorrelationArtifacts::of. It holds weak
+/// references only: an entry whose artifacts died is pruned at the next
+/// lookup, so nothing outlives the last optimizer using it. One mutex
+/// guards the entry list; a miss inserts a pending entry, builds outside
+/// the lock, and wakes every caller that found the entry pending.
+class ArtifactMemo {
+ public:
+  static ArtifactMemo& global() {
+    static ArtifactMemo* memo = new ArtifactMemo;  // leaked: no exit order
+    return *memo;
+  }
+
+  std::shared_ptr<const CorrelationArtifacts> get(
+      const trace::QueryTrace& trace,
+      const std::vector<std::uint64_t>& index_sizes, OperationModel model,
+      const MinerOptions& miner) {
+    const std::uint64_t hash = key_hash(trace, index_sizes, model, miner);
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::erase_if(entries_, [](const std::shared_ptr<Entry>& e) {
+      return e->artifacts.expired();
+    });
+    for (const std::shared_ptr<Entry>& found : entries_) {
+      if (found->hash != hash) continue;
+      std::shared_ptr<const CorrelationArtifacts> held =
+          found->artifacts.lock();
+      if (!held || !held->matches(trace, index_sizes, model, miner)) continue;
+      const std::shared_ptr<Entry> entry = found;  // survives pruning
+      built_.wait(lock, [&] { return entry->ready || entry->error; });
+      if (entry->error) std::rethrow_exception(entry->error);
+      count("core.correlation.hits");
+      return held;
+    }
+
+    // A separate allocation (not make_shared), so the artifacts' memory
+    // goes with their last holder even while the entry's weak_ptr lingers.
+    const std::shared_ptr<CorrelationArtifacts> built(
+        new CorrelationArtifacts(trace, index_sizes, model, miner));
+    const auto entry = std::make_shared<Entry>();
+    entry->hash = hash;
+    entry->artifacts = built;
+    entries_.push_back(entry);
+    lock.unlock();
+
+    try {
+      built->build(trace);
+    } catch (...) {
+      lock.lock();
+      entry->error = std::current_exception();
+      entries_.erase(std::find(entries_.begin(), entries_.end(), entry));
+      built_.notify_all();
+      throw;
+    }
+    lock.lock();
+    entry->ready = true;
+    built_.notify_all();
+    count("core.correlation.builds");
+    return built;
+  }
+
+ private:
+  static void count(const char* name) {
+    if (common::metrics_enabled())
+      common::MetricsRegistry::global().counter(name).add();
+  }
+
+  struct Entry {
+    std::uint64_t hash = 0;
+    // Key fields are set before the entry is published and never change;
+    // the mined fields are written by the one builder before `ready`.
+    std::weak_ptr<const CorrelationArtifacts> artifacts;
+    bool ready = false;
+    std::exception_ptr error;
+  };
+
+  std::mutex mutex_;
+  std::condition_variable built_;
+  std::vector<std::shared_ptr<Entry>> entries_;
+};
+
+std::shared_ptr<const CorrelationArtifacts> CorrelationArtifacts::of(
+    const trace::QueryTrace& trace,
+    const std::vector<std::uint64_t>& index_sizes, OperationModel model,
+    const MinerOptions& miner) {
+  return ArtifactMemo::global().get(trace, index_sizes, model, miner);
+}
+
+CorrelationArtifacts::CorrelationArtifacts(
+    const trace::QueryTrace& trace,
+    const std::vector<std::uint64_t>& index_sizes, OperationModel model,
+    const MinerOptions& miner)
+    : index_sizes_(index_sizes), model_(model), miner_(miner) {
+  const std::vector<trace::Query>& queries = trace.queries();
+  query_ends_.reserve(queries.size());
+  std::size_t total = 0;
+  for (const trace::Query& q : queries) {
+    total += q.size();
+    CCA_CHECK_MSG(total <= UINT32_MAX, "trace too long for a memo key");
+    query_ends_.push_back(static_cast<std::uint32_t>(total));
+  }
+  keywords_.reserve(total);
+  for (const trace::Query& q : queries)
+    keywords_.insert(keywords_.end(), q.keywords.begin(), q.keywords.end());
+}
+
+void CorrelationArtifacts::build(const trace::QueryTrace& trace) {
+  pairs_ = mine_pair_weights(trace, index_sizes_, model_, miner_);
+  ranking_ = importance_ranking(pairs_, index_sizes_);
+  hyperedges_ = build_hyperedges(trace);
+}
+
+bool CorrelationArtifacts::matches(
+    const trace::QueryTrace& trace,
+    const std::vector<std::uint64_t>& index_sizes, OperationModel model,
+    const MinerOptions& miner) const {
+  const std::vector<trace::Query>& queries = trace.queries();
+  if (model != model_ || !same_miner(miner, miner_) ||
+      queries.size() != query_ends_.size() || index_sizes != index_sizes_)
+    return false;
+  std::uint32_t begin = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::vector<trace::KeywordId>& ids = queries[q].keywords;
+    if (ids.size() != query_ends_[q] - begin ||
+        !std::equal(ids.begin(), ids.end(), keywords_.begin() + begin))
+      return false;
+    begin = query_ends_[q];
+  }
+  return true;
 }
 
 std::vector<DominancePoint> dominance_curve(

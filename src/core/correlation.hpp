@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,26 +84,85 @@ std::vector<KeywordPairWeight> mine_pair_weights(
     const std::vector<std::uint64_t>& index_sizes, OperationModel model,
     const MinerOptions& miner);
 
-/// A multi-keyword operation kept whole: the distinct keywords of one
-/// observed query shape and the rate at which it was asked. This is the
+/// Multi-keyword operations kept whole: per observed query shape, its
+/// distinct keywords and the rate at which it was asked. This is the
 /// information the pairwise collapse throws away — the input of the
-/// hypergraph strategy (core/hypergraph.hpp).
-struct KeywordHyperedge {
-  std::vector<trace::KeywordId> pins;  // distinct, sorted ascending
-  double weight = 0.0;                 // empirical rate (queries / trace)
+/// hypergraph strategy (core/hypergraph.hpp). Stored flat (one allocation
+/// per field, not one per edge): edge e's pins are
+/// pins[offsets[e], offsets[e + 1]), distinct and sorted ascending, and
+/// weights[e] is its empirical rate (queries / trace).
+struct KeywordHyperedges {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<trace::KeywordId> pins;
+  std::vector<double> weights;
+
+  std::size_t size() const { return weights.size(); }
+  std::span<const trace::KeywordId> pins_of(std::size_t e) const {
+    return {pins.data() + offsets[e], offsets[e + 1] - offsets[e]};
+  }
 };
 
 /// Aggregates the trace's multi-keyword queries into weighted hyperedges:
 /// one edge per distinct keyword set, weight = (occurrences / trace
 /// size). Single-keyword queries are dropped (they never communicate).
 /// Deterministic: edges are sorted by pin set.
-std::vector<KeywordHyperedge> build_hyperedges(const trace::QueryTrace& trace);
+KeywordHyperedges build_hyperedges(const trace::QueryTrace& trace);
 
 /// Sec. 4.2 keyword importance ranking (most important first). Covers the
 /// whole vocabulary.
 std::vector<trace::KeywordId> importance_ranking(
     const std::vector<KeywordPairWeight>& pairs,
     const std::vector<std::uint64_t>& index_sizes);
+
+/// The placement-independent half of partial optimization: mined pair
+/// weights, the importance ranking and the trace's hyperedges. They depend
+/// only on (trace content, index_sizes, operation model, miner options),
+/// so every PartialOptimizer built from one trace can share one copy.
+class CorrelationArtifacts {
+ public:
+  /// The artifacts of exactly this key, shared with every live holder of
+  /// an equal key and built on a miss. Concurrent callers with one key
+  /// share one build; the others wait for it. The process-wide memo keeps
+  /// only weak references, so artifacts live exactly as long as their last
+  /// holder. Safe to call from pool tasks. Records core.correlation.builds
+  /// and core.correlation.hits.
+  static std::shared_ptr<const CorrelationArtifacts> of(
+      const trace::QueryTrace& trace,
+      const std::vector<std::uint64_t>& index_sizes, OperationModel model,
+      const MinerOptions& miner);
+
+  const std::vector<std::uint64_t>& index_sizes() const { return index_sizes_; }
+  /// mine_pair_weights(trace, index_sizes, model, miner).
+  const std::vector<KeywordPairWeight>& pairs() const { return pairs_; }
+  /// importance_ranking(pairs(), index_sizes()).
+  const std::vector<trace::KeywordId>& ranking() const { return ranking_; }
+  /// build_hyperedges(trace).
+  const KeywordHyperedges& hyperedges() const { return hyperedges_; }
+
+ private:
+  friend class ArtifactMemo;
+
+  /// Key-only construction; build() adds the mined part.
+  CorrelationArtifacts(const trace::QueryTrace& trace,
+                       const std::vector<std::uint64_t>& index_sizes,
+                       OperationModel model, const MinerOptions& miner);
+  void build(const trace::QueryTrace& trace);
+  bool matches(const trace::QueryTrace& trace,
+               const std::vector<std::uint64_t>& index_sizes,
+               OperationModel model, const MinerOptions& miner) const;
+
+  // Key: the trace's queries as CSR (query q's keywords are
+  // keywords_[query_ends_[q-1], query_ends_[q])), sizes, model, miner.
+  std::vector<std::uint32_t> query_ends_;
+  std::vector<trace::KeywordId> keywords_;
+  std::vector<std::uint64_t> index_sizes_;
+  OperationModel model_;
+  MinerOptions miner_;
+
+  std::vector<KeywordPairWeight> pairs_;
+  std::vector<trace::KeywordId> ranking_;
+  KeywordHyperedges hyperedges_;
+};
 
 /// One point of the Fig. 5 dominance curve.
 struct DominancePoint {

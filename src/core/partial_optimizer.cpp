@@ -13,7 +13,7 @@ PartialOptimizer::PartialOptimizer(
     const trace::QueryTrace& trace,
     const std::vector<std::uint64_t>& index_sizes,
     PartialOptimizerConfig config)
-    : config_(config), index_sizes_(index_sizes) {
+    : config_(config) {
   CCA_CHECK(config.num_nodes >= 1);
   CCA_CHECK(config.scope >= 1);
   CCA_CHECK_MSG(config.capacity_slack >= 1.0,
@@ -21,12 +21,14 @@ PartialOptimizer::PartialOptimizer(
   CCA_CHECK(index_sizes.size() >= trace.vocabulary_size());
   const std::size_t vocab = index_sizes.size();
 
-  pairs_ = mine_pair_weights(trace, index_sizes_, config.operation_model,
-                             config.miner);
-  ranking_ = importance_ranking(pairs_, index_sizes_);
-  scope_.assign(ranking_.begin(),
-                ranking_.begin() +
-                    std::min<std::size_t>(config.scope, ranking_.size()));
+  // Pairs, ranking and hyperedges depend only on the trace: shared with
+  // every other live optimizer of an equal key.
+  artifacts_ = CorrelationArtifacts::of(trace, index_sizes,
+                                        config.operation_model, config.miner);
+  const std::vector<trace::KeywordId>& ranking = artifacts_->ranking();
+  scope_.assign(ranking.begin(),
+                ranking.begin() +
+                    std::min<std::size_t>(config.scope, ranking.size()));
 
   object_of_keyword_.assign(vocab, -1);
   for (std::size_t pos = 0; pos < scope_.size(); ++pos)
@@ -43,9 +45,9 @@ PartialOptimizer::PartialOptimizer(
   tail_loads_.assign(static_cast<std::size_t>(config.num_nodes), 0.0);
   double total_bytes = 0.0;
   for (std::size_t k = 0; k < vocab; ++k) {
-    total_bytes += static_cast<double>(index_sizes_[k]);
+    total_bytes += static_cast<double>(index_sizes[k]);
     if (object_of_keyword_[k] < 0)
-      tail_loads_[tail_nodes_[k]] += static_cast<double>(index_sizes_[k]);
+      tail_loads_[tail_nodes_[k]] += static_cast<double>(index_sizes[k]);
   }
   capacity_ = config.capacity_slack * total_bytes /
               static_cast<double>(config.num_nodes);
@@ -54,13 +56,13 @@ PartialOptimizer::PartialOptimizer(
   // the optimizer is what the hashed tail leaves free on each node.
   std::vector<double> sizes(scope_.size());
   for (std::size_t pos = 0; pos < scope_.size(); ++pos)
-    sizes[pos] = static_cast<double>(index_sizes_[scope_[pos]]);
+    sizes[pos] = static_cast<double>(index_sizes[scope_[pos]]);
   std::vector<double> capacities(static_cast<std::size_t>(config.num_nodes));
   for (int k = 0; k < config.num_nodes; ++k)
     capacities[k] = std::max(0.0, capacity_ - tail_loads_[k]);
 
   std::vector<PairWeight> scoped_pairs;
-  for (const KeywordPairWeight& p : pairs_) {
+  for (const KeywordPairWeight& p : artifacts_->pairs()) {
     const int oi = object_of_keyword_[p.a];
     const int oj = object_of_keyword_[p.b];
     if (oi < 0 || oj < 0) continue;  // pair leaves the scope: tail-handled
@@ -74,10 +76,11 @@ PartialOptimizer::PartialOptimizer(
   // pins are dropped (the hashed tail places them identically for every
   // strategy); edges left with < 2 pins vanish inside set_hyperedges.
   std::vector<Hyperedge> scoped_edges;
-  for (const KeywordHyperedge& e : build_hyperedges(trace)) {
+  const KeywordHyperedges& edges = artifacts_->hyperedges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
     Hyperedge scoped;
-    scoped.weight = e.weight;
-    for (const trace::KeywordId k : e.pins)
+    scoped.weight = edges.weights[e];
+    for (const trace::KeywordId k : edges.pins_of(e))
       if (object_of_keyword_[k] >= 0)
         scoped.pins.push_back(object_of_keyword_[k]);
     if (scoped.pins.size() >= 2) scoped_edges.push_back(std::move(scoped));
@@ -126,7 +129,7 @@ PlacementPlan PartialOptimizer::assemble(
     const int obj = object_of_keyword_[k];
     const NodeId node = obj >= 0 ? scope_placement[obj] : tail_nodes_[k];
     plan.keyword_to_node[k] = node;
-    plan.node_loads[node] += static_cast<double>(index_sizes_[k]);
+    plan.node_loads[node] += static_cast<double>(artifacts_->index_sizes()[k]);
   }
   const double base_capacity = capacity_;
   for (double load : plan.node_loads)

@@ -106,7 +106,14 @@ class PartialOptimizer {
   /// reduced by the hashed tail's load). Useful for diagnostics/benches.
   const CcaInstance& scoped_instance() const { return *instance_; }
   const PartialOptimizerConfig& config() const { return config_; }
-  const std::vector<KeywordPairWeight>& all_pairs() const { return pairs_; }
+  const std::vector<KeywordPairWeight>& all_pairs() const {
+    return artifacts_->pairs();
+  }
+  /// The per-trace artifacts this optimizer reads (shared with every other
+  /// live optimizer built from an equal trace and key).
+  const std::shared_ptr<const CorrelationArtifacts>& artifacts() const {
+    return artifacts_;
+  }
 
   /// The hash (production-baseline) placement of the scope keywords: what
   /// "random-hash" uses, and the fallback every tail keyword gets.
@@ -122,10 +129,9 @@ class PartialOptimizer {
                          const Placement& scope_placement) const;
 
   PartialOptimizerConfig config_;
-  std::vector<std::uint64_t> index_sizes_;
-  std::vector<KeywordPairWeight> pairs_;        // full-vocabulary pairs
-  std::vector<trace::KeywordId> ranking_;       // importance order
-  std::vector<trace::KeywordId> scope_;         // first `scope` of ranking_
+  /// Index sizes, pairs, ranking and hyperedges of the trace.
+  std::shared_ptr<const CorrelationArtifacts> artifacts_;
+  std::vector<trace::KeywordId> scope_;         // first `scope` of ranking
   std::vector<int> object_of_keyword_;          // keyword -> scope index or -1
   std::vector<NodeId> tail_nodes_;              // hash node per keyword
   std::vector<double> tail_loads_;              // hashed tail bytes per node

@@ -29,6 +29,10 @@ constexpr std::uint32_t kSine[64] = {
     0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
     0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
 
+/// Longest message whose padding (0x80, zeros, 8-byte length) still fits
+/// one 64-byte block.
+constexpr std::size_t kOneBlockMax = 55;
+
 std::uint32_t rotl(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
 }
@@ -139,8 +143,25 @@ Md5::Digest Md5::finish() {
 
 Md5::Digest Md5::digest(std::string_view s) {
   Md5 md5;
-  md5.update(s);
-  return md5.finish();
+  if (s.size() > kOneBlockMax) {
+    md5.update(s);
+    return md5.finish();
+  }
+  // The whole padded message fits one block: the bytes, 0x80, zeros, and
+  // the bit length in the last 8 bytes (what finish() pads to).
+  std::uint8_t block[64] = {};
+  std::memcpy(block, s.data(), s.size());
+  block[s.size()] = 0x80;
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(s.size()) * 8;
+  for (int i = 0; i < 8; ++i)
+    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  md5.process_block(block);
+  Digest d;
+  store_le32(d.data() + 0, md5.a0_);
+  store_le32(d.data() + 4, md5.b0_);
+  store_le32(d.data() + 8, md5.c0_);
+  store_le32(d.data() + 12, md5.d0_);
+  return d;
 }
 
 std::string Md5::to_hex(const Digest& d) {

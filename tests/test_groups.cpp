@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <set>
 
+#include "common/rng.hpp"
 #include "core/component_solver.hpp"
+#include "groups_oracle.hpp"
 
 namespace cca::core {
 namespace {
@@ -146,6 +148,78 @@ TEST(BuildGroups, CutCostMatchesGroupAssignment) {
   for (const PairWeight& p : inst.pairs())
     if (group_of[p.i] != group_of[p.j]) expected += p.cost();
   EXPECT_DOUBLE_EQ(groups.cut_cost, expected);
+}
+
+/// A seeded instance built to stress the peel's tie rules: a few
+/// disconnected blocks of clusters, object sizes and pair costs drawn from
+/// small sets (so equal gains and equal sizes are common), some zero-cost
+/// pairs, and on odd seeds one object larger than any node.
+CcaInstance sweep_instance(std::uint64_t seed) {
+  common::Rng rng(seed);
+  const int n = 20 + static_cast<int>(rng.next_below(140));
+  const int nodes = 2 + static_cast<int>(rng.next_below(5));
+  const bool unit_sizes = rng.next_below(2) == 0;
+  std::vector<double> sizes(static_cast<std::size_t>(n));
+  for (double& s : sizes)
+    s = unit_sizes ? 1.0 : static_cast<double>(1 + rng.next_below(3));
+
+  const int blocks = 1 + static_cast<int>(rng.next_below(4));
+  const int cluster = 3 + static_cast<int>(rng.next_below(6));
+  const auto block_of = [&](int i) { return i % blocks; };
+  const auto cluster_of = [&](int i) { return i / blocks / cluster; };
+  constexpr double kCosts[] = {0.0, 0.5, 1.0, 1.0, 2.0};
+  std::vector<PairWeight> pairs;
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j) {
+      if (block_of(i) != block_of(j)) continue;
+      const bool same_cluster = cluster_of(i) == cluster_of(j);
+      if (rng.next_below(same_cluster ? 4 : 40) != 0) continue;
+      const double w = kCosts[rng.next_below(5)];
+      pairs.push_back({i, j, same_cluster ? 0.5 : 0.25, w});
+    }
+
+  double total = 0.0;
+  for (double s : sizes) total += s;
+  const double capacity = (rng.next_below(2) == 0 ? 1.2 : 2.0) * total / nodes;
+  if (seed % 2 == 1) {
+    double& big = sizes[rng.next_below(static_cast<std::uint64_t>(n))];
+    total += 1.5 * capacity - big;
+    big = 1.5 * capacity;
+  }
+  // Keep the instance fractionally feasible (total size <= capacity).
+  const double fitted = std::max(capacity, 1.25 * total / nodes);
+  return CcaInstance(
+      std::move(sizes),
+      std::vector<double>(static_cast<std::size_t>(nodes), fitted),
+      std::move(pairs));
+}
+
+TEST(BuildGroups, MatchesTheMapBasedOracleBitForBit) {
+  int split_instances = 0, zero_cost_pairs = 0, oversized = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const CcaInstance inst = sweep_instance(seed);
+    for (const PairWeight& p : inst.pairs()) zero_cost_pairs += p.cost() == 0.0;
+    for (double fill : {0.4, 1.0}) {
+      const ComponentSolverOptions options{seed, fill};
+      const PlacementGroups got = build_groups(inst, options);
+      const PlacementGroups want = oracle_build_groups(inst, options);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " fill " << fill);
+      ASSERT_EQ(got.members, want.members);
+      ASSERT_EQ(got.sizes, want.sizes);
+      ASSERT_EQ(got.component_of_group, want.component_of_group);
+      ASSERT_EQ(got.cut_cost, want.cut_cost);
+      const ComponentStructure cs = find_components(inst);
+      split_instances += got.members.size() > cs.members.size();
+      for (const auto& g : got.members)
+        oversized += g.size() == 1 &&
+                     inst.object_size(g[0]) > fill * inst.node_capacity(0);
+    }
+  }
+  // The sweep must actually exercise splitting, zero-cost pairs and the
+  // unsplittable-object path.
+  EXPECT_GT(split_instances, 40);
+  EXPECT_GT(zero_cost_pairs, 0);
+  EXPECT_GT(oversized, 0);
 }
 
 }  // namespace

@@ -267,12 +267,12 @@ TEST(Hypergraph, HyperedgeAggregationMatchesMapOracle) {
   std::map<std::vector<trace::KeywordId>, std::size_t> counts;
   for (const trace::Query& q : trace.queries())
     if (q.size() >= 2) ++counts[q.keywords];
-  const std::vector<KeywordHyperedge> built = build_hyperedges(trace);
+  const KeywordHyperedges built = build_hyperedges(trace);
   ASSERT_EQ(built.size(), counts.size());
   std::size_t i = 0;
   for (const auto& [pins, count] : counts) {
-    EXPECT_EQ(built[i].pins, pins);
-    EXPECT_EQ(built[i].weight,
+    EXPECT_TRUE(std::ranges::equal(built.pins_of(i), pins));
+    EXPECT_EQ(built.weights[i],
               static_cast<double>(count) *
                   (1.0 / static_cast<double>(trace.size())));
     ++i;

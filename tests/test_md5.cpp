@@ -60,6 +60,32 @@ TEST(Md5, BlockBoundaryLengths) {
   }
 }
 
+TEST(Md5, OneShotMatchesIncrementalAtEveryLengthUpTo130) {
+  // digest() hashes messages of <= 55 bytes as one hand-padded block and
+  // longer ones through update()/finish(); both must agree with a
+  // byte-at-a-time stream across the 55/56, 63/64 and 119/120 padding
+  // boundaries.
+  std::string s;
+  for (std::size_t len = 0; len <= 130; ++len) {
+    Md5 incremental;
+    for (char ch : s) incremental.update(&ch, 1);
+    EXPECT_EQ(Md5::digest(s), incremental.finish()) << "length " << len;
+    s.push_back(static_cast<char>('a' + len % 26 + (len & 1) * 32));
+  }
+}
+
+TEST(Md5, Rfc1321VectorsAgreeOneShotAndIncremental) {
+  for (const std::string_view v :
+       {"", "a", "abc", "message digest", "abcdefghijklmnopqrstuvwxyz",
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+        "12345678901234567890123456789012345678901234567890123456789012345678"
+        "901234567890"}) {
+    Md5 incremental;
+    for (char ch : v) incremental.update(&ch, 1);
+    EXPECT_EQ(Md5::digest(v), incremental.finish()) << "\"" << v << "\"";
+  }
+}
+
 TEST(Md5, Digest64IsBigEndianPrefix) {
   // "abc" digest starts 0x900150983cd24fb0.
   EXPECT_EQ(Md5::digest64("abc"), 0x900150983cd24fb0ULL);
