@@ -1,6 +1,7 @@
 #include "core/correlation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -162,25 +163,74 @@ std::vector<trace::KeywordId> importance_ranking(
 
 namespace {
 
-bool same_miner(const MinerOptions& a, const MinerOptions& b) {
-  return a.kind == b.kind &&
-         (a.kind == MinerOptions::Kind::kExact || a.sketch == b.sketch);
-}
+/// The memo key: a 128-bit digest of (operation model, the miner options
+/// the miner reads, index sizes, trace queries in order), so an entry
+/// costs 16 bytes however long its trace. Two polynomial hashes over the
+/// prime field 2^61 - 1 with different bases. Length prefixes make every
+/// key a distinct polynomial, so for a base drawn at random two keys of
+/// at most n values collide in one lane with probability <= n / 2^61;
+/// with fixed bases that bound is a heuristic, fine for traces nobody
+/// crafts against it. One multiply per value and lane keeps a key about
+/// as cheap as reading the trace once.
+class KeyDigest {
+ public:
+  using Value = std::array<std::uint64_t, 2>;
 
-/// Fast reject for memo lookups; equal hashes are confirmed by a full key
-/// comparison (CorrelationArtifacts::matches).
-std::uint64_t key_hash(const trace::QueryTrace& trace,
-                       const std::vector<std::uint64_t>& index_sizes,
-                       OperationModel model, const MinerOptions& miner) {
-  std::uint64_t h = trace::hash_mix(static_cast<std::uint64_t>(model),
-                                    static_cast<std::uint64_t>(miner.kind));
+  void add32(std::uint32_t v) {
+    lo_ = step(lo_, kBaseLo, v);
+    hi_ = step(hi_, kBaseHi, v);
+  }
+  void add64(std::uint64_t v) {
+    add32(static_cast<std::uint32_t>(v >> 32));
+    add32(static_cast<std::uint32_t>(v));
+  }
+  Value value() const { return {canonical(lo_), canonical(hi_)}; }
+
+ private:
+  static constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
+  // Bases below 2^60 keep every state below 2^62 with one fold per step.
+  static constexpr std::uint64_t kBaseLo = 0x0B5AD4ECEDA1CE2Aull;
+  static constexpr std::uint64_t kBaseHi = 0x0F3D5B79A2C4E6F1ull;
+
+  /// h * base + v, folded once: 2^61 = 1 in the field, so adding the bits
+  /// above 61 onto the low ones keeps the residue. For h < 2^62 the
+  /// product is below 2^122 and the result below 2^62 again.
+  static std::uint64_t step(std::uint64_t h, std::uint64_t base,
+                            std::uint32_t v) {
+    const unsigned __int128 x = static_cast<unsigned __int128>(h) * base + v;
+    return static_cast<std::uint64_t>(x & kPrime) +
+           static_cast<std::uint64_t>(x >> 61);
+  }
+  static std::uint64_t canonical(std::uint64_t h) {
+    h = (h & kPrime) + (h >> 61);
+    return h >= kPrime ? h - kPrime : h;
+  }
+
+  // A nonzero start, so leading zero values still change the digest.
+  std::uint64_t lo_ = 1, hi_ = 1;
+};
+
+KeyDigest::Value key_digest(const trace::QueryTrace& trace,
+                            const std::vector<std::uint64_t>& index_sizes,
+                            OperationModel model, const MinerOptions& miner) {
+  KeyDigest d;
+  d.add32(static_cast<std::uint32_t>(model));
+  d.add32(static_cast<std::uint32_t>(miner.kind));
+  static_assert(sizeof(trace::StreamMinerConfig) == 4 * sizeof(std::size_t),
+                "a new sketch option must join the key below");
   if (miner.kind == MinerOptions::Kind::kSketch)
     for (const std::size_t v : {miner.sketch.top_objects,
                                 miner.sketch.top_pairs, miner.sketch.cm_width,
                                 miner.sketch.cm_depth})
-      h = trace::hash_mix(h, v);
-  for (const std::uint64_t size : index_sizes) h = trace::hash_mix(h, size);
-  return trace::content_hash(trace, h);
+      d.add64(v);
+  d.add64(index_sizes.size());
+  for (const std::uint64_t size : index_sizes) d.add64(size);
+  d.add64(trace.size());
+  for (const trace::Query& q : trace.queries()) {
+    d.add32(static_cast<std::uint32_t>(q.size()));
+    for (const trace::KeywordId k : q.keywords) d.add32(k);
+  }
+  return d.value();
 }
 
 }  // namespace
@@ -201,16 +251,16 @@ class ArtifactMemo {
       const trace::QueryTrace& trace,
       const std::vector<std::uint64_t>& index_sizes, OperationModel model,
       const MinerOptions& miner) {
-    const std::uint64_t hash = key_hash(trace, index_sizes, model, miner);
+    const KeyDigest::Value key = key_digest(trace, index_sizes, model, miner);
     std::unique_lock<std::mutex> lock(mutex_);
     std::erase_if(entries_, [](const std::shared_ptr<Entry>& e) {
       return e->artifacts.expired();
     });
     for (const std::shared_ptr<Entry>& found : entries_) {
-      if (found->hash != hash) continue;
+      if (found->key != key) continue;
       std::shared_ptr<const CorrelationArtifacts> held =
           found->artifacts.lock();
-      if (!held || !held->matches(trace, index_sizes, model, miner)) continue;
+      if (!held) continue;
       const std::shared_ptr<Entry> entry = found;  // survives pruning
       built_.wait(lock, [&] { return entry->ready || entry->error; });
       if (entry->error) std::rethrow_exception(entry->error);
@@ -220,16 +270,15 @@ class ArtifactMemo {
 
     // A separate allocation (not make_shared), so the artifacts' memory
     // goes with their last holder even while the entry's weak_ptr lingers.
-    const std::shared_ptr<CorrelationArtifacts> built(
-        new CorrelationArtifacts(trace, index_sizes, model, miner));
+    const std::shared_ptr<CorrelationArtifacts> built(new CorrelationArtifacts);
     const auto entry = std::make_shared<Entry>();
-    entry->hash = hash;
+    entry->key = key;
     entry->artifacts = built;
     entries_.push_back(entry);
     lock.unlock();
 
     try {
-      built->build(trace);
+      built->build(trace, index_sizes, model, miner);
     } catch (...) {
       lock.lock();
       entry->error = std::current_exception();
@@ -251,9 +300,8 @@ class ArtifactMemo {
   }
 
   struct Entry {
-    std::uint64_t hash = 0;
-    // Key fields are set before the entry is published and never change;
-    // the mined fields are written by the one builder before `ready`.
+    KeyDigest::Value key{};
+    // The artifacts are written by the one builder before `ready`.
     std::weak_ptr<const CorrelationArtifacts> artifacts;
     bool ready = false;
     std::exception_ptr error;
@@ -271,47 +319,14 @@ std::shared_ptr<const CorrelationArtifacts> CorrelationArtifacts::of(
   return ArtifactMemo::global().get(trace, index_sizes, model, miner);
 }
 
-CorrelationArtifacts::CorrelationArtifacts(
-    const trace::QueryTrace& trace,
-    const std::vector<std::uint64_t>& index_sizes, OperationModel model,
-    const MinerOptions& miner)
-    : index_sizes_(index_sizes), model_(model), miner_(miner) {
-  const std::vector<trace::Query>& queries = trace.queries();
-  query_ends_.reserve(queries.size());
-  std::size_t total = 0;
-  for (const trace::Query& q : queries) {
-    total += q.size();
-    CCA_CHECK_MSG(total <= UINT32_MAX, "trace too long for a memo key");
-    query_ends_.push_back(static_cast<std::uint32_t>(total));
-  }
-  keywords_.reserve(total);
-  for (const trace::Query& q : queries)
-    keywords_.insert(keywords_.end(), q.keywords.begin(), q.keywords.end());
-}
-
-void CorrelationArtifacts::build(const trace::QueryTrace& trace) {
-  pairs_ = mine_pair_weights(trace, index_sizes_, model_, miner_);
+void CorrelationArtifacts::build(const trace::QueryTrace& trace,
+                                 const std::vector<std::uint64_t>& index_sizes,
+                                 OperationModel model,
+                                 const MinerOptions& miner) {
+  index_sizes_ = index_sizes;
+  pairs_ = mine_pair_weights(trace, index_sizes_, model, miner);
   ranking_ = importance_ranking(pairs_, index_sizes_);
   hyperedges_ = build_hyperedges(trace);
-}
-
-bool CorrelationArtifacts::matches(
-    const trace::QueryTrace& trace,
-    const std::vector<std::uint64_t>& index_sizes, OperationModel model,
-    const MinerOptions& miner) const {
-  const std::vector<trace::Query>& queries = trace.queries();
-  if (model != model_ || !same_miner(miner, miner_) ||
-      queries.size() != query_ends_.size() || index_sizes != index_sizes_)
-    return false;
-  std::uint32_t begin = 0;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const std::vector<trace::KeywordId>& ids = queries[q].keywords;
-    if (ids.size() != query_ends_[q] - begin ||
-        !std::equal(ids.begin(), ids.end(), keywords_.begin() + begin))
-      return false;
-    begin = query_ends_[q];
-  }
-  return true;
 }
 
 std::vector<DominancePoint> dominance_curve(

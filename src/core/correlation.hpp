@@ -124,8 +124,9 @@ class CorrelationArtifacts {
   /// an equal key and built on a miss. Concurrent callers with one key
   /// share one build; the others wait for it. The process-wide memo keeps
   /// only weak references, so artifacts live exactly as long as their last
-  /// holder. Safe to call from pool tasks. Records core.correlation.builds
-  /// and core.correlation.hits.
+  /// holder. Keys are compared as a 128-bit digest of the key fields, so
+  /// an entry never copies the trace. Safe to call from pool tasks.
+  /// Records core.correlation.builds and core.correlation.hits.
   static std::shared_ptr<const CorrelationArtifacts> of(
       const trace::QueryTrace& trace,
       const std::vector<std::uint64_t>& index_sizes, OperationModel model,
@@ -142,23 +143,12 @@ class CorrelationArtifacts {
  private:
   friend class ArtifactMemo;
 
-  /// Key-only construction; build() adds the mined part.
-  CorrelationArtifacts(const trace::QueryTrace& trace,
-                       const std::vector<std::uint64_t>& index_sizes,
-                       OperationModel model, const MinerOptions& miner);
-  void build(const trace::QueryTrace& trace);
-  bool matches(const trace::QueryTrace& trace,
-               const std::vector<std::uint64_t>& index_sizes,
-               OperationModel model, const MinerOptions& miner) const;
+  CorrelationArtifacts() = default;
+  void build(const trace::QueryTrace& trace,
+             const std::vector<std::uint64_t>& index_sizes,
+             OperationModel model, const MinerOptions& miner);
 
-  // Key: the trace's queries as CSR (query q's keywords are
-  // keywords_[query_ends_[q-1], query_ends_[q])), sizes, model, miner.
-  std::vector<std::uint32_t> query_ends_;
-  std::vector<trace::KeywordId> keywords_;
   std::vector<std::uint64_t> index_sizes_;
-  OperationModel model_;
-  MinerOptions miner_;
-
   std::vector<KeywordPairWeight> pairs_;
   std::vector<trace::KeywordId> ranking_;
   KeywordHyperedges hyperedges_;

@@ -109,11 +109,6 @@ class PartialOptimizer {
   const std::vector<KeywordPairWeight>& all_pairs() const {
     return artifacts_->pairs();
   }
-  /// The per-trace artifacts this optimizer reads (shared with every other
-  /// live optimizer built from an equal trace and key).
-  const std::shared_ptr<const CorrelationArtifacts>& artifacts() const {
-    return artifacts_;
-  }
 
   /// The hash (production-baseline) placement of the scope keywords: what
   /// "random-hash" uses, and the fallback every tail keyword gets.

@@ -29,10 +29,6 @@ constexpr std::uint32_t kSine[64] = {
     0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
     0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
 
-/// Longest message whose padding (0x80, zeros, 8-byte length) still fits
-/// one 64-byte block.
-constexpr std::size_t kOneBlockMax = 55;
-
 std::uint32_t rotl(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
 }
@@ -59,29 +55,24 @@ void Md5::process_block(const std::uint8_t* block) {
   std::uint32_t m[16];
   for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
 
+  // The four rounds as separate loops, so each step's auxiliary function
+  // and message index are fixed once the loop is unrolled.
   std::uint32_t a = a0_, b = b0_, c = c0_, d = d0_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
+  const auto step = [&](std::uint32_t f, int i, int g) {
     f += a + kSine[i] + m[g];
     a = d;
     d = c;
     c = b;
     b += rotl(f, kShift[i]);
-  }
+  };
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) step((b & c) | (~b & d), i, i);
+#pragma GCC unroll 16
+  for (int i = 16; i < 32; ++i) step((d & b) | (~d & c), i, (5 * i + 1) % 16);
+#pragma GCC unroll 16
+  for (int i = 32; i < 48; ++i) step(b ^ c ^ d, i, (3 * i + 5) % 16);
+#pragma GCC unroll 16
+  for (int i = 48; i < 64; ++i) step(c ^ (b | ~d), i, (7 * i) % 16);
   a0_ += a;
   b0_ += b;
   c0_ += c;
@@ -118,20 +109,21 @@ void Md5::update(const void* data, std::size_t len) {
 Md5::Digest Md5::finish() {
   if (finished_) return final_digest_;
 
+  // Padding, in place: a single 0x80 byte, zeros until 8 bytes short of a
+  // block boundary (spilling into a second block when the buffer has no
+  // room for the length), then the message bit length little-endian.
   const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: a single 0x80 byte then zeros until 8 bytes short of a block
-  // boundary, then the original bit length little-endian.
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0;
-  // `finished_` is still false, so these updates are legal; they also keep
-  // growing total_len_, which is fine since bit_len was latched above.
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_bytes[8];
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  update(len_bytes, 8);
-  CCA_CHECK(buffer_len_ == 0);
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  process_block(buffer_);
+  buffer_len_ = 0;
 
   store_le32(final_digest_.data() + 0, a0_);
   store_le32(final_digest_.data() + 4, b0_);
@@ -143,25 +135,8 @@ Md5::Digest Md5::finish() {
 
 Md5::Digest Md5::digest(std::string_view s) {
   Md5 md5;
-  if (s.size() > kOneBlockMax) {
-    md5.update(s);
-    return md5.finish();
-  }
-  // The whole padded message fits one block: the bytes, 0x80, zeros, and
-  // the bit length in the last 8 bytes (what finish() pads to).
-  std::uint8_t block[64] = {};
-  std::memcpy(block, s.data(), s.size());
-  block[s.size()] = 0x80;
-  const std::uint64_t bit_len = static_cast<std::uint64_t>(s.size()) * 8;
-  for (int i = 0; i < 8; ++i)
-    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  md5.process_block(block);
-  Digest d;
-  store_le32(d.data() + 0, md5.a0_);
-  store_le32(d.data() + 4, md5.b0_);
-  store_le32(d.data() + 8, md5.c0_);
-  store_le32(d.data() + 12, md5.d0_);
-  return d;
+  md5.update(s);
+  return md5.finish();
 }
 
 std::string Md5::to_hex(const Digest& d) {

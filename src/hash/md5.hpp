@@ -35,8 +35,7 @@ class Md5 {
   /// calls return the same digest.
   Digest finish();
 
-  /// One-shot digest of a string. Messages of at most 55 bytes (every
-  /// keyword name) are padded in place and hashed as one block.
+  /// One-shot digest of a string.
   static Digest digest(std::string_view s);
 
   /// Lower-case hex rendering of a digest (32 chars).

@@ -24,13 +24,22 @@ constexpr std::size_t kBuildGrain = 1024;
 /// segments is one key (sim::QueryRange), so eight leaves room to spare.
 constexpr std::size_t kCacheCapacity = 8;
 
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
 /// Fast reject for cache lookups; equal hashes are confirmed by a full
 /// content comparison (QueryProfile::matches).
 std::uint64_t content_hash(const trace::QueryTrace& trace, OperationKind kind,
                            const std::vector<std::uint64_t>& keyword_bytes) {
   std::uint64_t h = static_cast<std::uint64_t>(kind);
-  for (const std::uint64_t bytes : keyword_bytes) h = trace::hash_mix(h, bytes);
-  return trace::content_hash(trace, h);
+  for (const std::uint64_t bytes : keyword_bytes) h = mix(h, bytes);
+  for (const trace::Query& q : trace.queries()) {
+    h = mix(h, q.size());
+    for (const trace::KeywordId k : q.keywords) h = mix(h, k);
+  }
+  return h;
 }
 
 }  // namespace

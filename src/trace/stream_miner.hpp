@@ -137,8 +137,6 @@ struct StreamMinerConfig {
   /// Count-min geometry for the pair sketch.
   std::size_t cm_width = 1u << 15;
   std::size_t cm_depth = 4;
-
-  bool operator==(const StreamMinerConfig&) const = default;
 };
 
 /// One mined object with its estimated (possibly decayed) request count.

@@ -42,13 +42,4 @@ std::vector<std::size_t> QueryTrace::keyword_frequencies() const {
   return freq;
 }
 
-std::uint64_t content_hash(const QueryTrace& trace, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (const Query& q : trace.queries()) {
-    h = hash_mix(h, q.size());
-    for (const KeywordId k : q.keywords) h = hash_mix(h, k);
-  }
-  return h;
-}
-
 }  // namespace cca::trace

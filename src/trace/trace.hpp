@@ -59,14 +59,4 @@ class QueryTrace {
   std::vector<Query> queries_;
 };
 
-/// Folds `v` into the running hash `h`. Memo keys combine it with
-/// content_hash as a fast reject before comparing content in full.
-inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-/// Hash of the trace's queries, in order, folded into `seed`.
-std::uint64_t content_hash(const QueryTrace& trace, std::uint64_t seed);
-
 }  // namespace cca::trace

@@ -73,9 +73,9 @@ TEST(CorrelationMemo, EqualContentAndCopiesHit) {
   const PartialOptimizer third(copy, sizes, config(200));
   EXPECT_EQ(counters.builds(), 1);
   EXPECT_EQ(counters.hits(), 2);
-  EXPECT_EQ(first.artifacts(), second.artifacts());
-  EXPECT_EQ(first.artifacts(), third.artifacts());
-  EXPECT_EQ(&first.all_pairs(), &third.all_pairs());  // never copied
+  // One shared copy, never copied into an optimizer.
+  EXPECT_EQ(&first.all_pairs(), &second.all_pairs());
+  EXPECT_EQ(&first.all_pairs(), &third.all_pairs());
 }
 
 TEST(CorrelationMemo, AnyKeyChangeMisses) {
@@ -93,7 +93,7 @@ TEST(CorrelationMemo, AnyKeyChangeMisses) {
     const std::int64_t before = counters.builds();
     held.push_back(std::make_unique<PartialOptimizer>(t, s, cfg));
     EXPECT_EQ(counters.builds(), before + 1) << what;
-    EXPECT_NE(held.back()->artifacts(), base.artifacts()) << what;
+    EXPECT_NE(&held.back()->all_pairs(), &base.all_pairs()) << what;
   };
 
   trace::QueryTrace longer = trace;
@@ -118,8 +118,30 @@ TEST(CorrelationMemo, AnyKeyChangeMisses) {
   PartialOptimizerConfig exact = config();
   exact.miner.sketch.top_pairs /= 2;
   const PartialOptimizer same(trace, sizes, exact);
-  EXPECT_EQ(same.artifacts(), base.artifacts());
+  EXPECT_EQ(&same.all_pairs(), &base.all_pairs());
   EXPECT_EQ(counters.hits(), 1);
+}
+
+TEST(CorrelationMemo, QueryBoundariesArePartOfTheKey) {
+  // Same keyword stream, different queries: {1,2},{3} against {1},{2,3}.
+  const MemoCounters counters;
+  trace::QueryTrace pair_first(kVocab), pair_last(kVocab);
+  pair_first.add_query({1, 2});
+  pair_first.add_query({3});
+  pair_last.add_query({1});
+  pair_last.add_query({2, 3});
+  const std::vector<std::uint64_t> sizes = make_sizes();
+  const auto a = CorrelationArtifacts::of(
+      pair_first, sizes, OperationModel::kSmallestPair, MinerOptions{});
+  const auto b = CorrelationArtifacts::of(
+      pair_last, sizes, OperationModel::kSmallestPair, MinerOptions{});
+  EXPECT_NE(a, b);
+  EXPECT_EQ(counters.builds(), 2);
+  EXPECT_EQ(counters.hits(), 0);
+  ASSERT_EQ(a->pairs().size(), 1u);
+  EXPECT_EQ(a->pairs()[0].a, 1u);
+  ASSERT_EQ(b->pairs().size(), 1u);
+  EXPECT_EQ(b->pairs()[0].a, 2u);
 }
 
 TEST(CorrelationMemo, ArtifactsEqualTheStandaloneFunctions) {
@@ -162,7 +184,7 @@ TEST(CorrelationMemo, ConcurrentConstructorsBuildOnce) {
   EXPECT_EQ(counters.builds(), 1);
   EXPECT_EQ(counters.hits(), 7);
   for (std::size_t i = 1; i < optimizers.size(); ++i) {
-    EXPECT_EQ(optimizers[i]->artifacts(), optimizers[0]->artifacts());
+    EXPECT_EQ(&optimizers[i]->all_pairs(), &optimizers[0]->all_pairs());
     EXPECT_EQ(plans[i], plans[0]) << "optimizer " << i;
   }
 }
@@ -176,7 +198,9 @@ TEST(CorrelationMemo, NothingOutlivesTheLastOptimizer) {
   {
     auto first = std::make_unique<PartialOptimizer>(trace, sizes, config());
     const PartialOptimizer second(trace, sizes, config(300));
-    weak = first->artifacts();
+    weak = CorrelationArtifacts::of(trace, sizes, config().operation_model,
+                                    config().miner);  // a hit
+    EXPECT_EQ(&weak.lock()->pairs(), &first->all_pairs());
     plan = first->run("lprr").keyword_to_node;
     first.reset();
     EXPECT_FALSE(weak.expired());  // `second` still holds them
@@ -187,7 +211,7 @@ TEST(CorrelationMemo, NothingOutlivesTheLastOptimizer) {
   // the rebuilt artifacts give the same plan.
   const PartialOptimizer again(trace, sizes, config());
   EXPECT_EQ(counters.builds(), 2);
-  EXPECT_EQ(counters.hits(), 1);
+  EXPECT_EQ(counters.hits(), 2);
   EXPECT_EQ(again.run("lprr").keyword_to_node, plan);
 }
 

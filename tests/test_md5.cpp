@@ -61,17 +61,21 @@ TEST(Md5, BlockBoundaryLengths) {
 }
 
 TEST(Md5, OneShotMatchesIncrementalAtEveryLengthUpTo130) {
-  // digest() hashes messages of <= 55 bytes as one hand-padded block and
-  // longer ones through update()/finish(); both must agree with a
-  // byte-at-a-time stream across the 55/56, 63/64 and 119/120 padding
-  // boundaries.
+  // One-shot and byte-at-a-time digests agree across the 55/56, 63/64 and
+  // 119/120 padding boundaries, and all 131 digests match an independent
+  // MD5 implementation: the digest of their concatenation was computed
+  // with Python's hashlib over the same messages.
   std::string s;
+  Md5 all;
   for (std::size_t len = 0; len <= 130; ++len) {
     Md5 incremental;
     for (char ch : s) incremental.update(&ch, 1);
-    EXPECT_EQ(Md5::digest(s), incremental.finish()) << "length " << len;
+    const Md5::Digest d = Md5::digest(s);
+    EXPECT_EQ(d, incremental.finish()) << "length " << len;
+    all.update(d.data(), d.size());
     s.push_back(static_cast<char>('a' + len % 26 + (len & 1) * 32));
   }
+  EXPECT_EQ(Md5::to_hex(all.finish()), "0706b485edb0506f677393760a9cb641");
 }
 
 TEST(Md5, Rfc1321VectorsAgreeOneShotAndIncremental) {
