@@ -397,6 +397,40 @@ void BM_OptimizerRepeatedTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizerRepeatedTrace)->Unit(benchmark::kMillisecond);
 
+/// One grid cell's constructor whose trace artifacts are already held
+/// (scope 1000, 20 nodes): the per-cell set-up that remains once mining
+/// is shared. It reads no query, so it costs O(vocabulary + pairs).
+void BM_OptimizerCtorMemoHit(benchmark::State& state) {
+  const GridData& data = GridData::get();
+  const core::PartialOptimizer held(data.january, data.sizes,
+                                    grid_config(20, 1000));
+  for (auto _ : state) {
+    const core::PartialOptimizer opt(data.january, data.sizes,
+                                     grid_config(20, 1000));
+    benchmark::DoNotOptimize(&opt);
+  }
+}
+BENCHMARK(BM_OptimizerCtorMemoHit)->Unit(benchmark::kMillisecond);
+
+/// A plan's exception table over the grid's 4000-keyword vocabulary
+/// (20 nodes, md5 tail, about a quarter of the keywords pinned).
+void BM_PlacementMapBuild(benchmark::State& state) {
+  constexpr std::size_t kVocab = 4000;
+  core::PlacementMapConfig cfg;
+  cfg.num_nodes = 20;
+  common::Rng rng(5);
+  std::vector<int> plan(kVocab);
+  for (std::size_t k = 0; k < kVocab; ++k)
+    plan[k] = rng.next_below(4) == 0
+                  ? static_cast<int>(rng.next_below(20))
+                  : core::tail_node(cfg.hash_tail,
+                                    static_cast<trace::KeywordId>(k), 20);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::PlacementMap::build(plan, cfg));
+  }
+}
+BENCHMARK(BM_PlacementMapBuild)->Unit(benchmark::kMillisecond);
+
 void BM_FullLpSolve(benchmark::State& state) {
   const core::CcaInstance instance =
       bench_instance(static_cast<int>(state.range(0)), 4, 4);

@@ -50,7 +50,8 @@ struct FrontierCell {
   double pair_cost_norm = 0.0;  // scoped pairwise objective, normalized
   double max_load_factor = 0.0;
   bool feasible = false;
-  double wall_ms = 0.0;         // strategy run only (JSON lane)
+  double wall_ms = 0.0;         // run() only (JSON lane); "hypergraph"
+                                // includes projecting its hyperedges
 };
 
 std::vector<double> parse_qlens(const std::string& csv) {
@@ -115,7 +116,7 @@ static int main_body(const common::CliArgs& args) {
             model.generate(cfg.queries, cfg.seed * 104729 + 2);
         const core::PartialOptimizer optimizer(
             january, tb.sizes, tb.optimizer_config(nodes, scope));
-        const core::CcaInstance& scoped = optimizer.scoped_instance();
+        const core::CcaInstance scoped = optimizer.hypergraph_instance();
         const double lambda_total = scoped.total_connectivity_cost();
 
         std::vector<FrontierCell> cells;

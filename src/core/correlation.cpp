@@ -1,7 +1,6 @@
 #include "core/correlation.hpp"
 
 #include <algorithm>
-#include <array>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -163,52 +162,11 @@ std::vector<trace::KeywordId> importance_ranking(
 
 namespace {
 
-/// The memo key: a 128-bit digest of (operation model, the miner options
-/// the miner reads, index sizes, trace queries in order), so an entry
-/// costs 16 bytes however long its trace. Two polynomial hashes over the
-/// prime field 2^61 - 1 with different bases. Length prefixes make every
-/// key a distinct polynomial, so for a base drawn at random two keys of
-/// at most n values collide in one lane with probability <= n / 2^61;
-/// with fixed bases that bound is a heuristic, fine for traces nobody
-/// crafts against it. One multiply per value and lane keeps a key about
-/// as cheap as reading the trace once.
-class KeyDigest {
- public:
-  using Value = std::array<std::uint64_t, 2>;
-
-  void add32(std::uint32_t v) {
-    lo_ = step(lo_, kBaseLo, v);
-    hi_ = step(hi_, kBaseHi, v);
-  }
-  void add64(std::uint64_t v) {
-    add32(static_cast<std::uint32_t>(v >> 32));
-    add32(static_cast<std::uint32_t>(v));
-  }
-  Value value() const { return {canonical(lo_), canonical(hi_)}; }
-
- private:
-  static constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
-  // Bases below 2^60 keep every state below 2^62 with one fold per step.
-  static constexpr std::uint64_t kBaseLo = 0x0B5AD4ECEDA1CE2Aull;
-  static constexpr std::uint64_t kBaseHi = 0x0F3D5B79A2C4E6F1ull;
-
-  /// h * base + v, folded once: 2^61 = 1 in the field, so adding the bits
-  /// above 61 onto the low ones keeps the residue. For h < 2^62 the
-  /// product is below 2^122 and the result below 2^62 again.
-  static std::uint64_t step(std::uint64_t h, std::uint64_t base,
-                            std::uint32_t v) {
-    const unsigned __int128 x = static_cast<unsigned __int128>(h) * base + v;
-    return static_cast<std::uint64_t>(x & kPrime) +
-           static_cast<std::uint64_t>(x >> 61);
-  }
-  static std::uint64_t canonical(std::uint64_t h) {
-    h = (h & kPrime) + (h >> 61);
-    return h >= kPrime ? h - kPrime : h;
-  }
-
-  // A nonzero start, so leading zero values still change the digest.
-  std::uint64_t lo_ = 1, hi_ = 1;
-};
+/// The memo key: a 128-bit trace::KeyDigest of (operation model, the
+/// miner options the miner reads, index sizes, the trace's size and its
+/// running content digest), so an entry costs 16 bytes however long its
+/// trace, and computing it reads no query: O(vocabulary).
+using trace::KeyDigest;
 
 KeyDigest::Value key_digest(const trace::QueryTrace& trace,
                             const std::vector<std::uint64_t>& index_sizes,
@@ -226,10 +184,7 @@ KeyDigest::Value key_digest(const trace::QueryTrace& trace,
   d.add64(index_sizes.size());
   for (const std::uint64_t size : index_sizes) d.add64(size);
   d.add64(trace.size());
-  for (const trace::Query& q : trace.queries()) {
-    d.add32(static_cast<std::uint32_t>(q.size()));
-    for (const trace::KeywordId k : q.keywords) d.add32(k);
-  }
+  for (const std::uint64_t lane : trace.digest()) d.add64(lane);
   return d.value();
 }
 

@@ -125,7 +125,9 @@ class CorrelationArtifacts {
   /// share one build; the others wait for it. The process-wide memo keeps
   /// only weak references, so artifacts live exactly as long as their last
   /// holder. Keys are compared as a 128-bit digest of the key fields, so
-  /// an entry never copies the trace. Safe to call from pool tasks.
+  /// an entry never copies the trace; the trace enters through its running
+  /// QueryTrace::digest(), so a lookup reads no query. Safe to call from
+  /// pool tasks.
   /// Records core.correlation.builds and core.correlation.hits.
   static std::shared_ptr<const CorrelationArtifacts> of(
       const trace::QueryTrace& trace,

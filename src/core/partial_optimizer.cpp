@@ -36,11 +36,11 @@ PartialOptimizer::PartialOptimizer(
 
   // Hash nodes for every keyword; only tail keywords actually use them,
   // but kRandom reuses the full map.
+  const auto digests = keyword_digests(vocab);
   tail_nodes_.resize(vocab);
   for (std::size_t k = 0; k < vocab; ++k)
     tail_nodes_[k] = static_cast<NodeId>(
-        tail_node(config.hash_tail, static_cast<trace::KeywordId>(k),
-                  config.num_nodes));
+        tail_node_of_key(config.hash_tail, (*digests)[k], config.num_nodes));
 
   tail_loads_.assign(static_cast<std::size_t>(config.num_nodes), 0.0);
   double total_bytes = 0.0;
@@ -70,11 +70,14 @@ PartialOptimizer::PartialOptimizer(
   }
   instance_ = std::make_unique<CcaInstance>(
       std::move(sizes), std::move(capacities), std::move(scoped_pairs));
+}
 
-  // Whole-query view for the hypergraph strategy: each multi-keyword query
-  // shape becomes a hyperedge over its in-scope keywords. Out-of-scope
-  // pins are dropped (the hashed tail places them identically for every
-  // strategy); edges left with < 2 pins vanish inside set_hyperedges.
+CcaInstance PartialOptimizer::hypergraph_instance() const {
+  // Whole-query view: each multi-keyword query shape becomes a hyperedge
+  // over its in-scope keywords. Out-of-scope pins are dropped (the hashed
+  // tail places them identically for every strategy); edges left with
+  // < 2 pins vanish inside set_hyperedges.
+  CcaInstance instance = *instance_;
   std::vector<Hyperedge> scoped_edges;
   const KeywordHyperedges& edges = artifacts_->hyperedges();
   for (std::size_t e = 0; e < edges.size(); ++e) {
@@ -85,7 +88,8 @@ PartialOptimizer::PartialOptimizer(
         scoped.pins.push_back(object_of_keyword_[k]);
     if (scoped.pins.size() >= 2) scoped_edges.push_back(std::move(scoped));
   }
-  instance_->set_hyperedges(std::move(scoped_edges));
+  instance.set_hyperedges(std::move(scoped_edges));
+  return instance;
 }
 
 PlacementPlan PartialOptimizer::run(std::string_view strategy) const {

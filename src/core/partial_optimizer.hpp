@@ -104,7 +104,14 @@ class PartialOptimizer {
 
   /// The scoped CCA instance a strategy optimizes (capacities already
   /// reduced by the hashed tail's load). Useful for diagnostics/benches.
+  /// Pairwise only: it carries no hyperedges.
   const CcaInstance& scoped_instance() const { return *instance_; }
+
+  /// A copy of scoped_instance() carrying the whole-query view: the
+  /// trace's hyperedges projected onto the scope. Built on every call
+  /// (O(hyperedge pins)), since only the "hypergraph" strategy and
+  /// lambda-1 diagnostics read it.
+  CcaInstance hypergraph_instance() const;
   const PartialOptimizerConfig& config() const { return config_; }
   const std::vector<KeywordPairWeight>& all_pairs() const {
     return artifacts_->pairs();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 
 #include "hash/md5.hpp"
 
@@ -69,12 +70,64 @@ std::int32_t jump_consistent_hash(std::uint64_t key,
   return static_cast<std::int32_t>(b);
 }
 
-int tail_node(HashTail tail, trace::KeywordId keyword, int num_nodes) {
+namespace {
+
+std::uint64_t md5_key(trace::KeywordId keyword) {
+  return hash::Md5::digest64(trace::keyword_name(keyword));
+}
+
+/// The table behind keyword_digests(). One mutex guards the current
+/// snapshot; growth copies it, hashes the new ids and swaps it in under
+/// the lock, so concurrent growers hash each id once and readers holding
+/// an older snapshot keep it.
+class KeywordDigestTable {
+ public:
+  static KeywordDigestTable& global() {
+    static KeywordDigestTable* table = new KeywordDigestTable;  // no exit order
+    return *table;
+  }
+
+  std::shared_ptr<const std::vector<std::uint64_t>> snapshot(
+      std::size_t count) {
+    CCA_CHECK_MSG(count <= std::size_t{UINT32_MAX} + 1,
+                  "keyword id range " << count << " exceeds 32 bits");
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (table_->size() < count) {
+      auto grown = std::make_shared<std::vector<std::uint64_t>>();
+      grown->reserve(count);
+      grown->assign(table_->begin(), table_->end());
+      for (std::size_t k = grown->size(); k < count; ++k)
+        grown->push_back(md5_key(static_cast<trace::KeywordId>(k)));
+      table_ = std::move(grown);
+    }
+    return table_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::shared_ptr<const std::vector<std::uint64_t>> table_ =
+      std::make_shared<const std::vector<std::uint64_t>>();
+};
+
+}  // namespace
+
+std::shared_ptr<const std::vector<std::uint64_t>> keyword_digests(
+    std::size_t count) {
+  return KeywordDigestTable::global().snapshot(count);
+}
+
+int tail_node_of_key(HashTail tail, std::uint64_t key, int num_nodes) {
   CCA_CHECK(num_nodes >= 1);
-  const std::uint64_t key = hash::Md5::digest64(trace::keyword_name(keyword));
   if (tail == HashTail::kMd5)
     return static_cast<int>(key % static_cast<std::uint64_t>(num_nodes));
   return static_cast<int>(jump_consistent_hash(key, num_nodes));
+}
+
+int tail_node(HashTail tail, trace::KeywordId keyword, int num_nodes) {
+  const auto digests = keyword_digests(0);
+  const std::uint64_t key =
+      keyword < digests->size() ? (*digests)[keyword] : md5_key(keyword);
+  return tail_node_of_key(tail, key, num_nodes);
 }
 
 namespace {
@@ -128,12 +181,13 @@ PlacementMap PlacementMap::build(const std::vector<int>& keyword_to_node,
   map.node_rack_ = config.node_rack;
   map.rack_row_ = config.rack_row;
   map.pool_version_ = config.pool_version;
+  const auto digests = keyword_digests(keyword_to_node.size());
   for (std::size_t k = 0; k < keyword_to_node.size(); ++k) {
     const int node = keyword_to_node[k];
     CCA_CHECK_MSG(node >= 0 && node < config.num_nodes,
                   "keyword " << k << " placed on unknown node " << node);
-    const auto keyword = static_cast<trace::KeywordId>(k);
-    if (node != tail_node(config.hash_tail, keyword, config.num_nodes)) {
+    if (node !=
+        tail_node_of_key(config.hash_tail, (*digests)[k], config.num_nodes)) {
       map.pinned_[k] = 1;
       ++map.pinned_count_;
     }
@@ -157,10 +211,10 @@ PlacementMap PlacementMap::hashed(std::size_t vocabulary,
   map.node_rack_ = config.node_rack;
   map.rack_row_ = config.rack_row;
   map.pool_version_ = config.pool_version;
+  const auto digests = keyword_digests(vocabulary);
   for (std::size_t k = 0; k < vocabulary; ++k)
-    map.primary_[k] = tail_node(config.hash_tail,
-                                static_cast<trace::KeywordId>(k),
-                                config.num_nodes);
+    map.primary_[k] =
+        tail_node_of_key(config.hash_tail, (*digests)[k], config.num_nodes);
   map.build_spread_tails();
   return map;
 }
@@ -250,9 +304,9 @@ PlacementMap PlacementMap::rebalanced(int new_num_nodes) const {
   next.degree_ = degree_;
   next.hash_tail_ = hash_tail_;
   next.epoch_ = epoch_ + 1;
+  const auto digests = keyword_digests(primary_.size());
   for (std::size_t k = 0; k < primary_.size(); ++k) {
-    const auto keyword = static_cast<trace::KeywordId>(k);
-    const int tail = tail_node(hash_tail_, keyword, new_num_nodes);
+    const int tail = tail_node_of_key(hash_tail_, (*digests)[k], new_num_nodes);
     if (pinned_[k] && primary_[k] < new_num_nodes) {
       next.primary_[k] = primary_[k];
       if (primary_[k] != tail) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -51,7 +52,23 @@ const char* hash_tail_name(HashTail tail);
 /// the keys whose bucket becomes n — an expected 1/(n+1) fraction.
 std::int32_t jump_consistent_hash(std::uint64_t key, std::int32_t num_buckets);
 
+/// The MD5 key of every keyword id below `count`: entry k is
+/// hash::Md5::digest64(trace::keyword_name(k)), the key both tail rules
+/// hash. Read from one process-wide, grow-only table (8 B per keyword id,
+/// up to the largest `count` asked for); a call asking for more ids than
+/// it holds extends it first. The snapshot may hold more than `count`
+/// entries, never changes, and stays valid after later growth, so a loop
+/// takes one snapshot and then reads it without locking. Thread-safe.
+std::shared_ptr<const std::vector<std::uint64_t>> keyword_digests(
+    std::size_t count);
+
+/// The node the tail rule assigns to a keyword whose MD5 key
+/// (keyword_digests()) is `key`, in an `num_nodes`-cluster.
+int tail_node_of_key(HashTail tail, std::uint64_t key, int num_nodes);
+
 /// The node the tail rule assigns to `keyword` in an `num_nodes`-cluster.
+/// Reads the digest table when it already covers `keyword`; otherwise
+/// hashes the name directly (same value) without growing the table.
 int tail_node(HashTail tail, trace::KeywordId keyword, int num_nodes);
 
 // ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ StrategyRegistry::StrategyRegistry() {
   add("hypergraph", [](const PartialOptimizer& opt) {
     HypergraphOptions options = opt.config().hypergraph;
     options.seed = opt.config().seed;
-    return hypergraph_placement(opt.scoped_instance(), options);
+    return hypergraph_placement(opt.hypergraph_instance(), options);
   });
   add("lprr", lprr_placement);
 }

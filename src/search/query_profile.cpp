@@ -30,15 +30,14 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 }
 
 /// Fast reject for cache lookups; equal hashes are confirmed by a full
-/// content comparison (QueryProfile::matches).
+/// content comparison (QueryProfile::matches). The trace enters through
+/// its size and running digest, so hashing reads no query.
 std::uint64_t content_hash(const trace::QueryTrace& trace, OperationKind kind,
                            const std::vector<std::uint64_t>& keyword_bytes) {
   std::uint64_t h = static_cast<std::uint64_t>(kind);
   for (const std::uint64_t bytes : keyword_bytes) h = mix(h, bytes);
-  for (const trace::Query& q : trace.queries()) {
-    h = mix(h, q.size());
-    for (const trace::KeywordId k : q.keywords) h = mix(h, k);
-  }
+  h = mix(h, trace.size());
+  for (const std::uint64_t lane : trace.digest()) h = mix(h, lane);
   return h;
 }
 

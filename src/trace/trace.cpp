@@ -18,6 +18,8 @@ void QueryTrace::add_query(std::vector<KeywordId> keywords) {
   CCA_CHECK_MSG(keywords.back() < vocabulary_size_,
                 "keyword " << keywords.back() << " outside vocabulary of "
                            << vocabulary_size_);
+  digest_.add32(static_cast<std::uint32_t>(keywords.size()));
+  for (const KeywordId k : keywords) digest_.add32(k);
   queries_.push_back(Query{std::move(keywords)});
 }
 

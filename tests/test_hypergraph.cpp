@@ -212,7 +212,7 @@ TEST(Hypergraph, AllQueriesIdenticalStillPlaces) {
   cfg.num_nodes = 3;
   cfg.scope = 6;
   const PartialOptimizer opt(trace, sizes, cfg);
-  ASSERT_TRUE(opt.scoped_instance().has_hyperedges());
+  ASSERT_TRUE(opt.hypergraph_instance().has_hyperedges());
   const PlacementPlan plan = opt.run("hypergraph");
   EXPECT_EQ(plan.keyword_to_node[3], plan.keyword_to_node[1]);
   EXPECT_EQ(plan.keyword_to_node[5], plan.keyword_to_node[1]);
@@ -237,7 +237,7 @@ TEST(Hypergraph, BeatsPairwiseOnLongQueries) {
   // information that the hyperedge view keeps. Whole-query cost must not
   // be worse than multilevel's on the same pipeline.
   const PartialOptimizer opt = make_optimizer(4.0, 3);
-  const CcaInstance& scoped = opt.scoped_instance();
+  const CcaInstance scoped = opt.hypergraph_instance();
   ASSERT_TRUE(scoped.has_hyperedges());
   const auto scoped_placement = [&](const PlacementPlan& plan) {
     Placement p(static_cast<std::size_t>(scoped.num_objects()));
@@ -252,6 +252,87 @@ TEST(Hypergraph, BeatsPairwiseOnLongQueries) {
   const double ml_lambda = scoped.connectivity_cost(scoped_placement(ml));
   EXPECT_LE(hg_lambda, ml_lambda + 1e-9);
   EXPECT_LT(hg_lambda, scoped.total_connectivity_cost());  // actually helps
+}
+
+/// The whole-query projection as PartialOptimizer's constructor used to
+/// install it, rebuilt from the standalone mining functions: scope = the
+/// first `scope` keywords of the importance ranking, each trace hyperedge
+/// restricted to the scope, edges with < 2 in-scope pins dropped.
+CcaInstance projected_oracle(const CcaInstance& scoped,
+                             const trace::QueryTrace& trace,
+                             const std::vector<std::uint64_t>& sizes,
+                             const PartialOptimizerConfig& cfg) {
+  const std::vector<trace::KeywordId> ranking = importance_ranking(
+      build_pair_weights(trace, sizes, cfg.operation_model), sizes);
+  std::vector<int> object_of(sizes.size(), -1);
+  for (std::size_t pos = 0; pos < std::min(cfg.scope, ranking.size()); ++pos)
+    object_of[ranking[pos]] = static_cast<int>(pos);
+  std::vector<Hyperedge> scoped_edges;
+  const KeywordHyperedges edges = build_hyperedges(trace);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    Hyperedge edge;
+    edge.weight = edges.weights[e];
+    for (const trace::KeywordId k : edges.pins_of(e))
+      if (object_of[k] >= 0) edge.pins.push_back(object_of[k]);
+    if (edge.pins.size() >= 2) scoped_edges.push_back(std::move(edge));
+  }
+  CcaInstance out = scoped;
+  out.set_hyperedges(std::move(scoped_edges));
+  return out;
+}
+
+TEST(Hypergraph, ScopedInstanceCarriesNoHyperedges) {
+  // Only the hypergraph strategy reads the whole-query view, so the
+  // instance every strategy shares is pairwise only.
+  const PartialOptimizer opt = make_optimizer(4.0, 1);
+  EXPECT_FALSE(opt.scoped_instance().has_hyperedges());
+  EXPECT_FALSE(opt.scoped_instance().pairs().empty());
+  EXPECT_TRUE(opt.hypergraph_instance().has_hyperedges());
+}
+
+TEST(Hypergraph, OnDemandInstanceMatchesTheConstructorProjection) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    trace::WorkloadConfig wcfg;
+    wcfg.vocabulary_size = 150 + 10 * (seed % 5);
+    wcfg.num_topics = 12;
+    wcfg.topic_size = 7;
+    wcfg.mean_query_length = 2.0 + 0.25 * static_cast<double>(seed % 9);
+    wcfg.seed = seed;
+    const trace::QueryTrace trace =
+        trace::WorkloadModel(wcfg).generate(800, seed + 100);
+    std::vector<std::uint64_t> sizes(wcfg.vocabulary_size);
+    for (std::size_t k = 0; k < sizes.size(); ++k)
+      sizes[k] = 64 + (k * 37 + seed) % 211;
+    PartialOptimizerConfig cfg;
+    cfg.num_nodes = 3 + static_cast<int>(seed % 4);
+    cfg.scope = 20 + 7 * seed;
+    cfg.seed = seed;
+    const PartialOptimizer opt(trace, sizes, cfg);
+
+    const CcaInstance got = opt.hypergraph_instance();
+    const CcaInstance want =
+        projected_oracle(opt.scoped_instance(), trace, sizes, cfg);
+    EXPECT_EQ(got.object_sizes(), want.object_sizes()) << "seed " << seed;
+    EXPECT_EQ(got.node_capacities(), want.node_capacities()) << "seed " << seed;
+    ASSERT_EQ(got.hyperedges().size(), want.hyperedges().size())
+        << "seed " << seed;
+    for (std::size_t e = 0; e < got.hyperedges().size(); ++e) {
+      EXPECT_EQ(got.hyperedges()[e].pins, want.hyperedges()[e].pins)
+          << "seed " << seed << " edge " << e;
+      EXPECT_EQ(got.hyperedges()[e].weight, want.hyperedges()[e].weight)
+          << "seed " << seed << " edge " << e;  // bit-identical
+    }
+
+    // The strategy's plan is the partitioner's answer on that instance.
+    HypergraphOptions options = cfg.hypergraph;
+    options.seed = cfg.seed;
+    const Placement expected = hypergraph_placement(want, options);
+    const PlacementPlan plan = opt.run("hypergraph");
+    ASSERT_EQ(plan.scope.size(), expected.size());
+    for (std::size_t pos = 0; pos < plan.scope.size(); ++pos)
+      EXPECT_EQ(plan.keyword_to_node[plan.scope[pos]], expected[pos])
+          << "seed " << seed << " object " << pos;
+  }
 }
 
 TEST(Hypergraph, HyperedgeAggregationMatchesMapOracle) {

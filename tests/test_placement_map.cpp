@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "core/placement_map.hpp"
+#include "hash/md5.hpp"
 
 namespace cca::core {
 namespace {
@@ -86,6 +88,74 @@ TEST(HashTail, TailNodeInRangeAndRuleSensitive) {
     differs = differs || md5 != jump;
   }
   EXPECT_TRUE(differs);  // the two rules really are different placements
+}
+
+// ---------- the keyword digest table ----------
+
+/// The tail rule computed straight from MD5, bypassing the shared table.
+int direct_md5_tail(HashTail tail, trace::KeywordId k, int num_nodes) {
+  const std::uint64_t key = hash::Md5::digest64(trace::keyword_name(k));
+  if (tail == HashTail::kMd5)
+    return static_cast<int>(key % static_cast<std::uint64_t>(num_nodes));
+  return jump_consistent_hash(key, num_nodes);
+}
+
+TEST(KeywordDigests, EveryEntryIsTheMd5OfTheKeywordName) {
+  constexpr std::size_t kIds = 70000;
+  const auto digests = keyword_digests(kIds);
+  ASSERT_GE(digests->size(), kIds);
+  for (std::size_t k = 0; k < kIds; ++k)
+    ASSERT_EQ((*digests)[k], hash::Md5::digest64(trace::keyword_name(
+                                 static_cast<trace::KeywordId>(k))))
+        << "keyword " << k;
+  // A smaller request returns the grown table, not a shorter copy.
+  EXPECT_GE(keyword_digests(10)->size(), kIds);
+  EXPECT_EQ(digests->size(), keyword_digests(0)->size());
+}
+
+TEST(KeywordDigests, TailNodeBeyondTheTableHashesDirectly) {
+  const trace::KeywordId far = 4'000'000'000u;
+  const std::size_t before = keyword_digests(0)->size();
+  for (const HashTail tail : {HashTail::kMd5, HashTail::kJump})
+    EXPECT_EQ(tail_node(tail, far, 13), direct_md5_tail(tail, far, 13));
+  EXPECT_EQ(keyword_digests(0)->size(), before);  // a lookup does not grow it
+}
+
+TEST(KeywordDigests, MapsMatchADirectMd5Oracle) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    common::Rng rng(seed);
+    const std::size_t vocab = 500 + rng.next_below(4000);
+    const int nodes = 2 + static_cast<int>(rng.next_below(30));
+    const int grown = 1 + static_cast<int>(rng.next_below(40));
+    PlacementMapConfig cfg;
+    cfg.num_nodes = nodes;
+    cfg.hash_tail = seed % 2 ? HashTail::kMd5 : HashTail::kJump;
+    std::vector<int> plan(vocab);
+    for (std::size_t k = 0; k < vocab; ++k) {
+      const auto kw = static_cast<trace::KeywordId>(k);
+      plan[k] = rng.next_below(3) == 0
+                    ? static_cast<int>(rng.next_below(
+                          static_cast<std::uint64_t>(nodes)))
+                    : direct_md5_tail(cfg.hash_tail, kw, nodes);
+    }
+    const PlacementMap map = PlacementMap::build(plan, cfg);
+    const PlacementMap hashed = PlacementMap::hashed(vocab, cfg);
+    const PlacementMap next = map.rebalanced(grown);
+    for (std::size_t k = 0; k < vocab; ++k) {
+      const auto kw = static_cast<trace::KeywordId>(k);
+      const int tail = direct_md5_tail(cfg.hash_tail, kw, nodes);
+      const int next_tail = direct_md5_tail(cfg.hash_tail, kw, grown);
+      ASSERT_EQ(map.tail_of(kw), tail) << "seed " << seed << " kw " << k;
+      ASSERT_EQ(tail_node(cfg.hash_tail, kw, nodes), tail);
+      ASSERT_EQ(map.pinned(kw), plan[k] != tail);
+      ASSERT_EQ(hashed.primary(kw), tail);
+      const bool keeps = plan[k] != tail && plan[k] < grown;
+      ASSERT_EQ(next.primary(kw), keeps ? plan[k] : next_tail)
+          << "seed " << seed << " kw " << k;
+      ASSERT_EQ(next.pinned(kw), keeps && plan[k] != next_tail);
+      ASSERT_EQ(next.tail_of(kw), next_tail);
+    }
+  }
 }
 
 // ---------- ReplicaSet ----------

@@ -217,6 +217,9 @@ TEST(QueryProfile, MemoKeysOnExactTraceContent) {
   EXPECT_NE(grown, first);
   EXPECT_EQ(grown->size(), first->size() + 1);
   EXPECT_EQ(QueryProfile::of(index, trace, kAnd), first);
+  // A copy of the grown trace carries its digest and hits that profile.
+  const trace::QueryTrace grown_copy = copy;
+  EXPECT_EQ(QueryProfile::of(index, grown_copy, kAnd), grown);
 }
 
 TEST(QueryProfile, SecondReplayFetchesNoPostings) {

@@ -44,6 +44,47 @@ TEST(QueryTrace, ComputesLengthStatistics) {
   EXPECT_EQ(freq[0], 0u);
 }
 
+TEST(QueryTrace, DigestFollowsContent) {
+  QueryTrace a(10);
+  a.add_query({1, 2});
+  a.add_query({3});
+  const QueryTrace copy = a;
+  EXPECT_EQ(copy.digest(), a.digest());
+  EXPECT_NE(a.digest(), QueryTrace(10).digest());
+
+  // Query boundaries count: {1,2},{3} is not {1},{2,3}.
+  QueryTrace b(10);
+  b.add_query({1});
+  b.add_query({2, 3});
+  EXPECT_NE(a.digest(), b.digest());
+
+  // The digest sees the canonical query: {3,1,1} is {1,3}.
+  QueryTrace raw(10), canonical(10);
+  raw.add_query({3, 1, 1});
+  canonical.add_query({1, 3});
+  EXPECT_EQ(raw.digest(), canonical.digest());
+
+  // Every append moves it; a rejected one does not.
+  const KeyDigest::Value before = a.digest();
+  a.add_query({3});
+  EXPECT_NE(a.digest(), before);
+  EXPECT_NE(a.digest(), copy.digest());
+  const KeyDigest::Value after = a.digest();
+  EXPECT_THROW(a.add_query({10}), common::Error);
+  EXPECT_EQ(a.digest(), after);
+}
+
+TEST(QueryTrace, DigestOfEqualGeneratedTracesAgrees) {
+  WorkloadConfig cfg;
+  cfg.vocabulary_size = 500;
+  cfg.num_topics = 20;
+  cfg.topic_size = 6;
+  cfg.seed = 3;
+  const WorkloadModel model(cfg);
+  EXPECT_EQ(model.generate(2000, 5).digest(), model.generate(2000, 5).digest());
+  EXPECT_NE(model.generate(2000, 5).digest(), model.generate(2000, 6).digest());
+}
+
 // ---------- WorkloadModel ----------
 
 WorkloadConfig small_config() {
