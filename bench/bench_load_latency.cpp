@@ -154,7 +154,7 @@ static int main_body(const common::CliArgs& args) {
     out << "  ],\n";
     out << "  \"data_plane\": {\n"
         << "    \"codec_default\": \""
-        << search::posting_codec_name(search::default_posting_codec())
+        << search::posting_codec_name(search::PostingCodec::kBlock)
         << "\",\n"
         << "    \"block_decode_mbps\": " << block_mbps << ",\n"
         << "    \"varint_decode_mbps\": " << varint_mbps << ",\n"

@@ -80,7 +80,7 @@ std::vector<std::uint64_t> synthetic_postings(std::size_t n, bool sparse) {
 }
 
 void BM_VarintDecode(benchmark::State& state) {
-  // Scalar LEB128 gap decode (the --codec=varint ablation baseline).
+  // Scalar LEB128 gap decode (the varint ablation baseline).
   // Bytes processed = decoded output (8 B/posting), so MB/s is directly
   // comparable with BM_BlockDecode on the same profile.
   const std::vector<std::uint64_t> ids = synthetic_postings(

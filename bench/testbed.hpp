@@ -34,7 +34,6 @@
 #include "common/table.hpp"
 #include "core/partial_optimizer.hpp"
 #include "core/placement_map.hpp"
-#include "search/block_postings.hpp"
 #include "search/inverted_index.hpp"
 #include "sim/cluster.hpp"
 #include "sim/faults.hpp"
@@ -109,8 +108,8 @@ struct TestbedConfig {
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", cfg.seed));
     cfg.seeds = static_cast<int>(args.get_int("seeds", cfg.seeds));
     cfg.csv = args.get_bool("csv", cfg.csv);
-    cfg.json_path = args.get_string("json", "");
-    cfg.metrics_path = args.get_string("metrics", "");
+    cfg.json_path = args.get_path("json");
+    cfg.metrics_path = args.get_path("metrics");
     if (!cfg.metrics_path.empty())
       common::MetricsRegistry::global().set_enabled(true);
     const std::string miner = args.get_string("miner", "exact");
@@ -128,25 +127,9 @@ struct TestbedConfig {
         "miner-depth", static_cast<std::int64_t>(cfg.miner.sketch.cm_depth)));
     // A bad enum value is a hard error naming the flag, the accepted
     // values, and the closest candidate.
-    const auto enum_error = [](const char* flag, const std::string& got,
-                               const std::vector<std::string>& accepted) {
-      common::reject_enum_value(flag, got, accepted);
-    };
     const std::string tail = args.get_string("hash-tail", "");
     if (!tail.empty() && !core::parse_hash_tail(tail, &cfg.hash_tail))
-      enum_error("hash-tail", tail, {"md5", "jump"});
-    // --codec={block,varint}: the posting codec every QueryEngine built
-    // from this process uses. Answer-invariant by construction (both
-    // codecs decode to the same ID sequence; the cost model is
-    // untouched) — it selects the serving data plane's speed, with
-    // varint kept as the ablation baseline.
-    const std::string codec = args.get_string("codec", "");
-    if (!codec.empty()) {
-      search::PostingCodec posting_codec;
-      if (!search::parse_posting_codec(codec, &posting_codec))
-        enum_error("codec", codec, {"block", "varint"});
-      search::set_default_posting_codec(posting_codec);
-    }
+      common::reject_enum_value("hash-tail", tail, {"md5", "jump"});
     cfg.churn = sim::parse_churn_script(args.get_string("churn", ""));
     // The thread knob takes effect immediately: every bench parses its
     // flags before doing any work, so the pool is sized before first use.

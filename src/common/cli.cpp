@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -62,12 +63,15 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
                   "expected --flag, got '" << arg << "'");
     arg = arg.substr(2);
     const auto eq = arg.find('=');
+    std::string key = arg.substr(0, eq);
+    bare_.erase(key);  // the last occurrence of a flag wins
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      values_[key] = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
+      values_[key] = argv[++i];
     } else {
-      values_[arg] = "true";  // bare flag == boolean true
+      values_[key] = "true";  // bare flag == boolean true
+      bare_.insert(std::move(key));
     }
   }
 }
@@ -82,6 +86,12 @@ std::string CliArgs::get_string(const std::string& key,
   used_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
+}
+
+std::string CliArgs::get_path(const std::string& key) const {
+  CCA_CHECK_MSG(bare_.count(key) == 0,
+                "flag --" << key << " needs a path (--" << key << "=<path>)");
+  return get_string(key, "");
 }
 
 std::int64_t CliArgs::get_int(const std::string& key,

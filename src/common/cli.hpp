@@ -30,6 +30,10 @@ class CliArgs {
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
+  /// A path-valued flag: "" when absent. Throws common::Error when the
+  /// flag was given bare (`--json` with no value), which would otherwise
+  /// read as the boolean "true" and name a file `true`.
+  std::string get_path(const std::string& key) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
@@ -41,6 +45,7 @@ class CliArgs {
 
  private:
   std::map<std::string, std::string> values_;
+  std::set<std::string> bare_;  // flags given without a value
   mutable std::set<std::string> used_;
 };
 

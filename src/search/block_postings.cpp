@@ -1,7 +1,6 @@
 #include "search/block_postings.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "common/check.hpp"
@@ -14,8 +13,6 @@ namespace cca::search {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-std::atomic<PostingCodec> g_default_codec{PostingCodec::kBlock};
 
 /// Narrowest lane width in {0,1,2,4,8,16,32,64} that holds `max_value`.
 /// Power-of-two widths only, so 64/width lanes tile a word exactly and no
@@ -34,28 +31,8 @@ std::uint8_t width_for(std::uint64_t max_value) {
 
 }  // namespace
 
-bool parse_posting_codec(std::string_view text, PostingCodec* out) {
-  if (text == "varint") {
-    *out = PostingCodec::kVarint;
-    return true;
-  }
-  if (text == "block") {
-    *out = PostingCodec::kBlock;
-    return true;
-  }
-  return false;
-}
-
 const char* posting_codec_name(PostingCodec codec) {
   return codec == PostingCodec::kVarint ? "varint" : "block";
-}
-
-PostingCodec default_posting_codec() {
-  return g_default_codec.load(std::memory_order_relaxed);
-}
-
-void set_default_posting_codec(PostingCodec codec) {
-  g_default_codec.store(codec, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

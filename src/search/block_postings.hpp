@@ -19,8 +19,10 @@
 //     byte-identical warm or cold, and a PlacementMap cache-token change
 //     (new epoch) invalidates it wholesale.
 //
-// The scalar varint codec stays selectable (--codec=varint) as the
-// ablation baseline; PostingCodec::kBlock is the default. Both codecs
+// The scalar varint codec stays as an explicit value (CompressedIndex or
+// QueryEngine constructed with PostingCodec::kVarint) for the ablation
+// baseline and the codec-invariance tests; everything else serves
+// PostingCodec::kBlock. Both codecs
 // decode to the same ID sequence, so every cost, result size, and golden
 // stdout is identical across codecs — the codec changes time, not
 // answers. Sizes reported by the engine's cost model are likewise
@@ -29,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/flat_hash.hpp"
@@ -47,16 +48,7 @@ enum class PostingCodec {
   kBlock,   // 128-posting FOR blocks + SWAR decode — the default
 };
 
-/// Parses "varint"/"block"; returns false on anything else (callers attach
-/// their own did-you-mean error, see bench/testbed.hpp).
-bool parse_posting_codec(std::string_view text, PostingCodec* out);
 const char* posting_codec_name(PostingCodec codec);
-
-/// Process-wide default used by QueryEngine constructors that take no
-/// explicit codec (same knob pattern as the LP backend). Benches set it
-/// from --codec before building engines.
-PostingCodec default_posting_codec();
-void set_default_posting_codec(PostingCodec codec);
 
 // ---------------------------------------------------------------------------
 // BlockPostings: one keyword's compressed list.

@@ -37,7 +37,7 @@ std::vector<std::uint64_t> decompress_postings(
     const std::vector<std::uint8_t>& bytes);
 
 /// decompress_postings into a caller-owned buffer: reuses `out`'s
-/// capacity, so steady-state decode loops (the --codec=varint serving
+/// capacity, so steady-state decode loops (the varint engine's serving
 /// lane) allocate nothing once the buffer reached its high-water mark.
 void decompress_postings_into(const std::vector<std::uint8_t>& bytes,
                               std::vector<std::uint64_t>& out);

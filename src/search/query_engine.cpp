@@ -58,9 +58,6 @@ void QueryScratch::reserve(std::size_t max_query_keywords,
   list_b_.reserve(max_list_postings);
 }
 
-QueryEngine::QueryEngine(const InvertedIndex& index)
-    : QueryEngine(index, default_posting_codec()) {}
-
 QueryEngine::QueryEngine(const InvertedIndex& index, PostingCodec codec)
     : index_(&index), compressed_(index, codec) {}
 
@@ -68,7 +65,7 @@ QueryEngine::QueryEngine(const InvertedIndex& index,
                          std::vector<std::uint64_t> keyword_bytes)
     : index_(&index),
       keyword_bytes_(std::move(keyword_bytes)),
-      compressed_(index, default_posting_codec()) {
+      compressed_(index, PostingCodec::kBlock) {
   CCA_CHECK_MSG(keyword_bytes_.size() == index.vocabulary_size(),
                 "keyword_bytes must cover the whole vocabulary");
 }

@@ -164,15 +164,16 @@ class QueryScratch {
 
 class QueryEngine {
  public:
-  /// Uses the process-wide default codec (block unless --codec=varint).
-  explicit QueryEngine(const InvertedIndex& index);
-  QueryEngine(const InvertedIndex& index, PostingCodec codec);
+  /// Serves from the block codec unless `codec` says otherwise (varint is
+  /// the ablation baseline; answers are identical under both).
+  explicit QueryEngine(const InvertedIndex& index,
+                       PostingCodec codec = PostingCodec::kBlock);
 
   /// `keyword_bytes[k]` overrides the on-the-wire size of keyword k's
   /// posting list (e.g. compressed sizes from search/compression.hpp);
   /// it also drives the smallest-two execution order. Intermediate
   /// intersection results still ship at 8 bytes/posting — they are
-  /// materialized uncompressed.
+  /// materialized uncompressed. Serves from the block codec.
   QueryEngine(const InvertedIndex& index,
               std::vector<std::uint64_t> keyword_bytes);
 

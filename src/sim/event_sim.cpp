@@ -1,14 +1,14 @@
 #include "sim/event_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <memory>
 #include <queue>
 
 #include "common/check.hpp"
 #include "common/metrics.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "search/query_engine.hpp"
+#include "search/query_profile.hpp"
+#include "sim/replay.hpp"
 
 namespace cca::sim {
 
@@ -19,33 +19,18 @@ struct Transfer {
   std::uint64_t bytes = 0;
 };
 
-/// Transfer chains stored as one flat arena plus per-chain [begin, end)
-/// spans — one allocation amortized across every chain, instead of a
-/// vector per query.
+/// Each trace query's transfer chain, in plan order, as one flat array
+/// plus per-query offsets: chain q is [offsets[q], offsets[q + 1]).
 struct ChainStore {
   std::vector<Transfer> transfers;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
+  std::vector<std::uint32_t> offsets{0};
 
-  std::uint32_t open() {
-    spans.push_back({static_cast<std::uint32_t>(transfers.size()),
-                     static_cast<std::uint32_t>(transfers.size())});
-    return static_cast<std::uint32_t>(spans.size() - 1);
+  std::uint32_t length(std::size_t chain) const {
+    return offsets[chain + 1] - offsets[chain];
   }
-  void close() {
-    spans.back().second = static_cast<std::uint32_t>(transfers.size());
+  const Transfer& step(std::size_t chain, std::uint32_t s) const {
+    return transfers[offsets[chain] + s];
   }
-  std::uint32_t length(std::uint32_t chain) const {
-    return spans[chain].second - spans[chain].first;
-  }
-  const Transfer& step(std::uint32_t chain, std::uint32_t s) const {
-    return transfers[spans[chain].first + s];
-  }
-};
-
-/// One in-flight query: its arrival time and its chain in the store.
-struct PendingQuery {
-  double arrival_ms = 0.0;
-  std::uint32_t chain = 0;
 };
 
 /// Event: a query step becomes ready to transmit.
@@ -65,144 +50,34 @@ EventSimStats simulate_load(const Cluster& cluster,
                             const search::InvertedIndex& index,
                             const trace::QueryTrace& trace,
                             const EventSimConfig& config) {
-  CCA_CHECK_MSG(config.arrival_rate_qps > 0.0, "arrival rate must be > 0");
+  const std::vector<double> arrival_ms = poisson_arrivals(
+      config.num_queries, config.arrival_rate_qps, config.seed);
   CCA_CHECK_MSG(config.nic_mbps > 0.0, "NIC bandwidth must be > 0");
   CCA_CHECK_MSG(!trace.empty(), "empty trace");
   CCA_CHECK(config.num_queries >= 1);
-  const bool faulty = config.faults != nullptr;
-  if (faulty) {
-    CCA_CHECK_MSG(config.faults->num_nodes() == cluster.num_nodes(),
-                  "fault schedule covers " << config.faults->num_nodes()
-                                           << " nodes, cluster has "
-                                           << cluster.num_nodes());
-  }
 
-  // --- Extract each distinct trace query's transfer chain once (healthy
-  // path; under faults the chain depends on the arrival instant, so it is
-  // resolved per arrival below). ---
-  const search::QueryEngine engine(index);
+  // --- Each distinct trace query's transfer chain, walked once from the
+  // trace's memoised intersection profile. ---
+  const std::shared_ptr<const search::QueryProfile> profile =
+      search::QueryProfile::of(index, trace,
+                               search::OperationKind::kIntersection);
   const core::PlacementMap& map = cluster.map();
   const auto placement = [&map](trace::KeywordId k) {
     return map.resolve(k);
   };
-  std::size_t max_width = 0;
-  for (std::size_t q = 0; q < trace.size(); ++q)
-    max_width = std::max(max_width, trace[q].size());
-  search::QueryScratch scratch;
-  scratch.reserve(max_width, engine.max_postings());
-  scratch.begin_epoch(map.cache_token());
-  const auto record_chain = [](ChainStore& store) {
-    return [&store](int from, int to, std::uint64_t bytes) {
-      (void)to;
-      store.transfers.push_back({from, bytes});
-    };
-  };
   ChainStore chains;
-  if (!faulty) {
-    chains.spans.reserve(trace.size());
-    for (std::size_t q = 0; q < trace.size(); ++q) {
-      chains.open();
-      engine.execute_intersection(trace[q], placement, record_chain(chains),
-                                  &scratch);
-      chains.close();
-    }
+  chains.offsets.reserve(trace.size() + 1);
+  const auto record = [&chains](int from, int to, std::uint64_t bytes) {
+    (void)to;
+    chains.transfers.push_back({from, bytes});
+  };
+  for (std::size_t q = 0; q < trace.size(); ++q) {
+    profile->walk(q, placement, record);
+    chains.offsets.push_back(
+        static_cast<std::uint32_t>(chains.transfers.size()));
   }
-
-  // --- Poisson arrivals. ---
-  common::Rng rng(config.seed ^ 0x51ABCDEF1234ULL);
-  const double mean_gap_ms = 1000.0 / config.arrival_rate_qps;
-  std::vector<PendingQuery> queries(config.num_queries);
-  double clock = 0.0;
-  for (std::size_t q = 0; q < config.num_queries; ++q) {
-    clock += -std::log(1.0 - rng.next_double()) * mean_gap_ms;
-    queries[q].arrival_ms = clock;
-    if (!faulty)
-      queries[q].chain = static_cast<std::uint32_t>(q % trace.size());
-  }
-
-  // --- Fault path: resolve each arrival's chain against the liveness
-  // snapshot at its arrival instant. Retry penalties delay the query's
-  // start (client-side time, no NIC occupancy). ---
-  EventSimStats stats;
-  ChainStore fault_chains;
-  std::vector<double> penalties;
-  double coverage_sum = 0.0;
-  if (faulty) {
-    fault_chains.spans.reserve(config.num_queries);
-    penalties.assign(config.num_queries, 0.0);
-    const int num_nodes = cluster.num_nodes();
-    const int degree = map.degree();
-    const bool fully_replicated = degree == num_nodes - 1;
-    std::vector<char> alive(static_cast<std::size_t>(num_nodes), 1);
-    trace::Query sub;
-    std::vector<core::ReplicaSet> resolved;
-    sub.keywords.reserve(max_width);
-    resolved.reserve(max_width);
-    const auto sub_placement = [&](trace::KeywordId k) {
-      for (std::size_t i = 0; i < sub.keywords.size(); ++i)
-        if (sub.keywords[i] == k) return resolved[i];
-      // Unreachable: the engine only asks about sub's keywords.
-      return core::ReplicaSet::single(0);
-    };
-    for (std::size_t q = 0; q < config.num_queries; ++q) {
-      const trace::Query& query = trace[q % trace.size()];
-      const double now = queries[q].arrival_ms;
-      int alive_count = num_nodes;
-      for (int n = 0; n < num_nodes; ++n) {
-        alive[static_cast<std::size_t>(n)] =
-            config.faults->alive(n, now) ? 1 : 0;
-        if (!alive[static_cast<std::size_t>(n)]) --alive_count;
-      }
-      sub.keywords.clear();
-      resolved.clear();
-      for (const trace::KeywordId k : query.keywords) {
-        if (fully_replicated) {
-          if (alive_count > 0) {
-            sub.keywords.push_back(k);
-            resolved.push_back(map.resolve(k));
-          }
-          continue;
-        }
-        int slot = -1;
-        const int node = map.resolve(k).first_alive(
-            alive, config.retry.max_attempts, &slot);
-        const int failed_attempts =
-            node >= 0 ? slot
-                      : std::min(config.retry.max_attempts, degree + 1);
-        if (failed_attempts > 0) {
-          stats.retries += static_cast<std::uint64_t>(failed_attempts);
-          penalties[q] += config.retry.penalty_ms(
-              failed_attempts,
-              static_cast<std::uint64_t>(q) * 1000003ULL +
-                  static_cast<std::uint64_t>(k));
-        }
-        if (node >= 0) {
-          if (slot > 0) ++stats.failovers;
-          sub.keywords.push_back(k);
-          resolved.push_back(core::ReplicaSet::single(node));
-        }
-      }
-      const std::uint32_t chain = fault_chains.open();
-      if (!sub.keywords.empty())
-        engine.execute_intersection(sub, sub_placement,
-                                    record_chain(fault_chains), &scratch);
-      fault_chains.close();
-      const double coverage =
-          query.size() == 0
-              ? 1.0
-              : static_cast<double>(sub.keywords.size()) /
-                    static_cast<double>(query.size());
-      coverage_sum += coverage;
-      if (sub.keywords.size() == query.size())
-        ++stats.fully_served;
-      else if (!sub.keywords.empty())
-        ++stats.degraded;
-      else
-        ++stats.failed;
-      queries[q].chain = chain;
-    }
-  }
-  const ChainStore& store = faulty ? fault_chains : chains;
+  // Arrival q runs trace query q mod |trace|.
+  const auto chain_of = [&trace](std::size_t q) { return q % trace.size(); };
 
   // --- Event loop: non-preemptive FIFO per sender NIC. ---
   const double bytes_per_ms = config.nic_mbps * 1000.0 / 8.0;
@@ -217,14 +92,10 @@ EventSimStats simulate_load(const Cluster& cluster,
   latencies.reserve(config.num_queries);
 
   for (std::size_t q = 0; q < config.num_queries; ++q) {
-    const double penalty = faulty ? penalties[q] : 0.0;
-    if (store.length(queries[q].chain) == 0) {
-      // Fully local (or fully unserved): no network time, only whatever
-      // retry penalty the query burned discovering dead replicas.
-      latencies.push_back(penalty);
+    if (chains.length(chain_of(q)) == 0) {
+      latencies.push_back(0.0);  // fully local: no network time
     } else {
-      events.push({queries[q].arrival_ms + penalty,
-                   static_cast<std::uint32_t>(q), 0});
+      events.push({arrival_ms[q], static_cast<std::uint32_t>(q), 0});
     }
   }
 
@@ -236,8 +107,8 @@ EventSimStats simulate_load(const Cluster& cluster,
     ++events_processed;
     const ReadyEvent ev = events.top();
     events.pop();
-    const PendingQuery& query = queries[ev.query];
-    const Transfer& transfer = store.step(query.chain, ev.step);
+    const std::size_t chain = chain_of(ev.query);
+    const Transfer& transfer = chains.step(chain, ev.step);
 
     const double start = std::max(ev.ready_ms, nic_free[transfer.from]);
     const double tx =
@@ -246,35 +117,22 @@ EventSimStats simulate_load(const Cluster& cluster,
     nic_busy[transfer.from] += tx;
     const double delivered = start + tx + config.per_message_ms;
 
-    if (ev.step + 1 < store.length(query.chain)) {
+    if (ev.step + 1 < chains.length(chain)) {
       events.push({delivered, ev.query, ev.step + 1});
     } else {
-      latencies.push_back(delivered - query.arrival_ms);
+      latencies.push_back(delivered - arrival_ms[ev.query]);
       last_completion = std::max(last_completion, delivered);
     }
   }
 
+  EventSimStats stats;
   stats.completed = latencies.size();
-  stats.makespan_ms =
-      std::max(last_completion, queries.back().arrival_ms) -
-      queries.front().arrival_ms;
+  stats.makespan_ms = std::max(last_completion, arrival_ms.back()) -
+                      arrival_ms.front();
   if (!latencies.empty()) {
     stats.mean_latency_ms = common::mean_of(latencies);
     stats.p50_latency_ms = common::percentile(latencies, 50.0);
     stats.p99_latency_ms = common::percentile(latencies, 99.0);
-  }
-  if (faulty) {
-    if (config.num_queries > 0) {
-      stats.availability = static_cast<double>(stats.fully_served) /
-                           static_cast<double>(config.num_queries);
-      stats.mean_coverage =
-          coverage_sum / static_cast<double>(config.num_queries);
-    }
-  } else {
-    // Healthy run: every query is fully served by definition.
-    stats.fully_served = config.num_queries;
-    stats.availability = 1.0;
-    stats.mean_coverage = 1.0;
   }
   if (stats.makespan_ms > 0.0) {
     for (double busy : nic_busy)
@@ -296,21 +154,6 @@ EventSimStats simulate_load(const Cluster& cluster,
     queue_depth.observe(max_queue_depth);
     nic_util_pct.observe(
         static_cast<std::uint64_t>(100.0 * stats.max_nic_utilization));
-    if (faulty) {
-      static common::Counter& retries =
-          reg.counter("sim.eventsim.retries");
-      static common::Counter& failovers =
-          reg.counter("sim.eventsim.failovers");
-      static common::Counter& degraded =
-          reg.counter("sim.eventsim.degraded_queries");
-      static common::Histogram& availability_pct =
-          reg.histogram("sim.eventsim.availability_pct");
-      retries.add(static_cast<std::int64_t>(stats.retries));
-      failovers.add(static_cast<std::int64_t>(stats.failovers));
-      degraded.add(static_cast<std::int64_t>(stats.degraded + stats.failed));
-      availability_pct.observe(
-          static_cast<std::uint64_t>(100.0 * stats.availability));
-    }
   }
   return stats;
 }

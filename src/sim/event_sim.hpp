@@ -17,6 +17,12 @@
 //   * a query's transfers are sequential (intersection plans); queries
 //     without transfers complete instantly;
 //   * local compute time is out of scope (identical across placements).
+//
+// The simulator evaluates queries on the replay's path: each distinct
+// trace query's transfer chain is a walk of the trace's memoised
+// search::QueryProfile (the one replay_trace reads), and arrivals come
+// from sim::poisson_arrivals, the fault replay's clock. The cluster is
+// healthy throughout; failure under load is replay_trace_with_faults'.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +30,6 @@
 
 #include "search/inverted_index.hpp"
 #include "sim/cluster.hpp"
-#include "sim/faults.hpp"
 #include "trace/trace.hpp"
 
 namespace cca::sim {
@@ -39,17 +44,6 @@ struct EventSimConfig {
   /// Number of queries to inject (trace is cycled if shorter).
   std::size_t num_queries = 20000;
   std::uint64_t seed = 1;
-
-  // --- Fault injection (all optional; defaults reproduce the healthy
-  // simulation byte for byte). ---
-  /// Fault timeline; nullptr simulates a healthy cluster. Failover order
-  /// comes from the installed placement epoch's replica sets (a degree-0
-  /// map gives fail-stop behaviour with no failover).
-  const FaultSchedule* faults = nullptr;
-  /// Dead-contact reaction; the per-fetch penalty delays the query's
-  /// first transfer (it does not occupy any NIC — timeouts burn client
-  /// time, not server bandwidth).
-  RetryPolicy retry;
 };
 
 struct EventSimStats {
@@ -61,19 +55,13 @@ struct EventSimStats {
   double max_nic_utilization = 0.0;
   /// Arrival-to-last-completion span, milliseconds.
   double makespan_ms = 0.0;
-
-  // --- Fault-injection outcomes (zero/1.0 on a healthy run). ---
-  std::size_t fully_served = 0;
-  std::size_t degraded = 0;  // partial coverage
-  std::size_t failed = 0;    // zero coverage
-  double availability = 0.0;
-  double mean_coverage = 0.0;
-  std::uint64_t retries = 0;
-  std::uint64_t failovers = 0;
 };
 
 /// Simulates `config.num_queries` arrivals against the placement installed
-/// in `cluster`. The query mix is drawn from `trace` in order (cycled).
+/// in `cluster`. The query mix is drawn from `trace` in order (cycled);
+/// the first call on an (index, trace) pair builds its intersection
+/// profile on the common::parallel pool, and the stats are bit-identical
+/// for any thread count.
 EventSimStats simulate_load(const Cluster& cluster,
                             const search::InvertedIndex& index,
                             const trace::QueryTrace& trace,

@@ -1,15 +1,13 @@
 #include "sim/placement_service.hpp"
 
-#include <cmath>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
-#include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "sim/cluster.hpp"
 #include "sim/pool_map.hpp"
 
@@ -152,7 +150,10 @@ ServiceReplayStats replay_trace_with_service(
     PlacementService& service, const search::InvertedIndex& index,
     const trace::QueryTrace& trace, const std::vector<ChurnEvent>& churn,
     const ServiceReplayConfig& config) {
-  CCA_CHECK_MSG(config.arrival_rate_qps > 0.0, "arrival rate must be > 0");
+  const std::vector<trace::Query>& queries = trace.queries();
+  // The clock the churn script's times cut against.
+  const std::vector<double> arrival_ms = poisson_arrivals(
+      queries.size(), config.arrival_rate_qps, config.arrival_seed);
   for (std::size_t i = 1; i < churn.size(); ++i)
     CCA_CHECK_MSG(churn[i].time_ms >= churn[i - 1].time_ms,
                   "churn event times must be nondecreasing");
@@ -166,23 +167,10 @@ ServiceReplayStats replay_trace_with_service(
   double total_index_bytes = 0.0;
   for (std::uint64_t s : sizes) total_index_bytes += static_cast<double>(s);
 
-  const std::vector<trace::Query>& queries = trace.queries();
-
-  // Arrival instants, drawn sequentially (same procedure as the fault
-  // replay) — the clock the churn script's times cut against.
-  std::vector<double> arrival_ms(queries.size(), 0.0);
-  {
-    common::Rng rng(config.arrival_seed ^ 0x51ABCDEF1234ULL);
-    const double mean_gap_ms = 1000.0 / config.arrival_rate_qps;
-    double clock = 0.0;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      clock += -std::log(1.0 - rng.next_double()) * mean_gap_ms;
-      arrival_ms[q] = clock;
-    }
-  }
-
   ServiceReplayStats stats;
   ReplayCapture capture;
+  // The newest segment's cluster: the storage figures are its.
+  std::optional<Cluster> cluster;
 
   // Replays [begin, end) on the current epoch; queries that arrived under
   // this epoch finish on it even though later events have already been
@@ -191,21 +179,14 @@ ServiceReplayStats replay_trace_with_service(
   // QueryProfile.
   const auto replay_segment = [&](std::size_t begin, std::size_t end) {
     if (begin >= end) return;
-    Cluster cluster(map->num_nodes(), config.capacity_slack *
-                                          total_index_bytes /
-                                          map->num_nodes());
-    cluster.install_placement(map, sizes);
-    const ReplayStats seg =
-        replay_trace(cluster, index, trace, config.kind, {}, config.latency,
-                     &capture, QueryRange{begin, end});
-    stats.base.queries += seg.queries;
-    stats.base.multi_keyword_queries += seg.multi_keyword_queries;
-    stats.base.local_queries += seg.local_queries;
-    stats.base.total_bytes += seg.total_bytes;
-    stats.base.total_messages += seg.total_messages;
-    // Storage figures track the newest epoch's cluster.
-    stats.base.max_storage_factor = seg.max_storage_factor;
-    stats.base.storage_imbalance = seg.storage_imbalance;
+    cluster.emplace(map->num_nodes(),
+                    config.capacity_slack * total_index_bytes /
+                        map->num_nodes());
+    cluster->install_placement(map, sizes);
+    merge_replay_counts(
+        stats.base, replay_trace(*cluster, index, trace, config.kind, {},
+                                 config.latency, &capture,
+                                 QueryRange{begin, end}));
   };
 
   // First query index arriving at or after `time_ms`, scanning from `from`
@@ -296,14 +277,7 @@ ServiceReplayStats replay_trace_with_service(
   }
   replay_segment(next_query, queries.size());
 
-  if (!capture.per_query_bytes.empty()) {
-    stats.base.mean_bytes_per_query = common::mean_of(capture.per_query_bytes);
-    stats.base.p99_bytes_per_query =
-        common::percentile(capture.per_query_bytes, 99.0);
-    stats.base.mean_latency_ms = common::mean_of(capture.per_query_latency);
-    stats.base.p99_latency_ms =
-        common::percentile(capture.per_query_latency, 99.0);
-  }
+  if (cluster) finalize_replay_stats(stats.base, capture, *cluster);
   stats.final_epoch = map->epoch();
   stats.final_num_nodes = map->num_nodes();
   return stats;

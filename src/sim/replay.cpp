@@ -22,62 +22,64 @@ namespace {
 /// load-balance a 40k-query default trace across a pool.
 constexpr std::size_t kShardGrain = 1024;
 
-/// Widest query in the trace — the up-front reserve for the fault
-/// replay's per-shard scratch (sub-query buffers, live execution), so the
-/// shard loop never grows a buffer mid-query.
-std::size_t max_query_width(const std::vector<trace::Query>& queries) {
-  std::size_t width = 0;
-  for (const trace::Query& q : queries) width = std::max(width, q.size());
-  return width;
+void append_series(ReplayCapture& into, const ReplayCapture& from) {
+  into.per_query_bytes.insert(into.per_query_bytes.end(),
+                              from.per_query_bytes.begin(),
+                              from.per_query_bytes.end());
+  into.per_query_latency.insert(into.per_query_latency.end(),
+                                from.per_query_latency.begin(),
+                                from.per_query_latency.end());
 }
 
-struct Shard {
-  ClusterDelta delta;
-  ReplayStats partial;  // counter fields only; aggregates filled later
-  std::vector<double> per_query_bytes;
-  std::vector<double> per_query_latency;
+/// What a replay body reports for one query: its cost, and the client-side
+/// time it spent before any transfer (the fault replay's retry penalties).
+struct QueryCharge {
+  search::QueryCost cost;
+  double penalty_ms = 0.0;
 };
 
-}  // namespace
+/// One shard of the driver: a private transfer delta, the counter fields
+/// of ReplayStats, the body's own counters and the per-query series.
+template <typename Counters>
+struct Shard {
+  ClusterDelta delta;
+  ReplayStats counts;
+  Counters extra;
+  ReplayCapture series;
+};
 
-ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
-                         const trace::QueryTrace& trace, OperationKind kind,
-                         std::vector<std::uint64_t> keyword_bytes,
-                         const LatencyModel& latency, ReplayCapture* capture,
-                         QueryRange range) {
+/// The sharded driver under both replays. The range is cut into shards
+/// run on the common::parallel pool; the cluster is only read during the
+/// parallel phase and mutated by merging the deltas in shard order after
+/// the join. Per-query values concatenate back into trace order, so means
+/// and percentiles are bit-identical to a sequential replay for any
+/// thread count.
+///
+/// `make_body(extra)` runs once per shard (per-shard buffers live in the
+/// body it returns); `body(q, observer)` evaluates query q, reporting every
+/// transfer to `observer`, which charges the shard's delta and sums the
+/// query's latency (maxes it for a union fan-out). Both are template
+/// parameters, so the per-query call is direct. `Counters` carries the
+/// body's own tallies; `extra.add(shard)` merges them in shard order.
+template <typename Counters, typename MakeBody>
+ReplayStats replay_sharded(Cluster& cluster, const trace::QueryTrace& trace,
+                           QueryRange range, OperationKind kind,
+                           const LatencyModel& latency,
+                           ReplayCapture* capture, Counters& extra,
+                           const MakeBody& make_body) {
   const std::vector<trace::Query>& queries = trace.queries();
-  range.end = std::min(range.end, queries.size());
-  CCA_CHECK_MSG(range.begin <= range.end,
-                "query range starts at " << range.begin << ", past its end "
-                                         << range.end);
-  const std::shared_ptr<const search::QueryProfile> profile =
-      search::QueryProfile::of(index, trace, kind, keyword_bytes);
   const bool parallel_fanout = kind == OperationKind::kUnion;
-
-  // The trace is sharded across the pool. Each shard replays its query
-  // range with a private ClusterDelta and private per-query vectors; the
-  // cluster is only read (node_of) during the parallel phase and mutated
-  // by merging the deltas in shard order after the join. Per-query values
-  // concatenate back into trace order, so means and percentiles are
-  // bit-identical to a sequential replay for any thread count.
   const auto chunks =
       common::chunk_ranges(range.end - range.begin, kShardGrain);
-  std::vector<Shard> shards(chunks.size());
+  std::vector<Shard<Counters>> shards(chunks.size());
   common::parallel_for(0, chunks.size(), 1, [&](std::size_t c) {
     const std::size_t begin = range.begin + chunks[c].first;
     const std::size_t end = range.begin + chunks[c].second;
-    Shard& shard = shards[c];
+    Shard<Counters>& shard = shards[c];
     shard.delta = ClusterDelta(cluster.num_nodes());
-    shard.per_query_bytes.reserve(end - begin);
-    shard.per_query_latency.reserve(end - begin);
+    shard.series.per_query_bytes.reserve(end - begin);
+    shard.series.per_query_latency.reserve(end - begin);
 
-    const core::PlacementMap& map = cluster.map();
-    const auto placement = [&map](trace::KeywordId k) {
-      return map.resolve(k);
-    };
-    // Per-query latency accumulates through the observer: transfers
-    // arrive in plan order, summed for sequential intersection steps and
-    // maxed for the union fan-out.
     double query_latency = 0.0;
     const auto observer = [&](int from, int to, std::uint64_t bytes) {
       shard.delta.record_transfer(from, to, bytes);
@@ -85,60 +87,101 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
       query_latency =
           parallel_fanout ? std::max(query_latency, ms) : query_latency + ms;
     };
-
+    auto body = make_body(shard.extra);
     for (std::size_t q = begin; q < end; ++q) {
-      const trace::Query& query = queries[q];
       query_latency = 0.0;
-      const search::QueryCost cost = profile->walk(q, placement, observer);
-      ++shard.partial.queries;
-      if (query.size() >= 2) {
-        ++shard.partial.multi_keyword_queries;
-        if (cost.local) ++shard.partial.local_queries;
+      const QueryCharge charge = body(q, observer);
+      ++shard.counts.queries;
+      if (queries[q].size() >= 2) {
+        ++shard.counts.multi_keyword_queries;
+        if (charge.cost.local) ++shard.counts.local_queries;
       }
-      shard.partial.total_bytes += cost.bytes_transferred;
-      shard.partial.total_messages += cost.messages;
-      shard.per_query_bytes.push_back(
-          static_cast<double>(cost.bytes_transferred));
-      shard.per_query_latency.push_back(query_latency);
+      shard.counts.total_bytes += charge.cost.bytes_transferred;
+      shard.counts.total_messages += charge.cost.messages;
+      shard.series.per_query_bytes.push_back(
+          static_cast<double>(charge.cost.bytes_transferred));
+      shard.series.per_query_latency.push_back(query_latency +
+                                               charge.penalty_ms);
     }
   });
 
   ReplayStats stats;
-  std::vector<double> per_query_bytes;
-  std::vector<double> per_query_latency;
-  per_query_bytes.reserve(range.end - range.begin);
-  per_query_latency.reserve(range.end - range.begin);
-  for (Shard& shard : shards) {
-    stats.queries += shard.partial.queries;
-    stats.multi_keyword_queries += shard.partial.multi_keyword_queries;
-    stats.local_queries += shard.partial.local_queries;
-    stats.total_bytes += shard.partial.total_bytes;
-    stats.total_messages += shard.partial.total_messages;
-    per_query_bytes.insert(per_query_bytes.end(),
-                           shard.per_query_bytes.begin(),
-                           shard.per_query_bytes.end());
-    per_query_latency.insert(per_query_latency.end(),
-                             shard.per_query_latency.begin(),
-                             shard.per_query_latency.end());
+  ReplayCapture series;
+  series.per_query_bytes.reserve(range.end - range.begin);
+  series.per_query_latency.reserve(range.end - range.begin);
+  for (const Shard<Counters>& shard : shards) {
+    merge_replay_counts(stats, shard.counts);
+    extra.add(shard.extra);
+    append_series(series, shard.series);
     cluster.apply(shard.delta);
   }
+  finalize_replay_stats(stats, series, cluster);
+  if (capture) append_series(*capture, series);
+  return stats;
+}
 
-  if (!per_query_bytes.empty()) {
-    stats.mean_bytes_per_query = common::mean_of(per_query_bytes);
-    stats.p99_bytes_per_query = common::percentile(per_query_bytes, 99.0);
-    stats.mean_latency_ms = common::mean_of(per_query_latency);
-    stats.p99_latency_ms = common::percentile(per_query_latency, 99.0);
+/// The plain replay keeps no tallies beyond ReplayStats.
+struct NoCounters {
+  void add(const NoCounters&) {}
+};
+
+}  // namespace
+
+void merge_replay_counts(ReplayStats& total, const ReplayStats& part) {
+  total.queries += part.queries;
+  total.multi_keyword_queries += part.multi_keyword_queries;
+  total.local_queries += part.local_queries;
+  total.total_bytes += part.total_bytes;
+  total.total_messages += part.total_messages;
+}
+
+void finalize_replay_stats(ReplayStats& stats, const ReplayCapture& series,
+                           const Cluster& cluster) {
+  if (!series.per_query_bytes.empty()) {
+    stats.mean_bytes_per_query = common::mean_of(series.per_query_bytes);
+    stats.p99_bytes_per_query =
+        common::percentile(series.per_query_bytes, 99.0);
+    stats.mean_latency_ms = common::mean_of(series.per_query_latency);
+    stats.p99_latency_ms = common::percentile(series.per_query_latency, 99.0);
   }
   stats.max_storage_factor = cluster.max_storage_factor();
   stats.storage_imbalance = cluster.storage_imbalance();
-  if (capture) {
-    capture->per_query_bytes.insert(capture->per_query_bytes.end(),
-                                    per_query_bytes.begin(),
-                                    per_query_bytes.end());
-    capture->per_query_latency.insert(capture->per_query_latency.end(),
-                                      per_query_latency.begin(),
-                                      per_query_latency.end());
+}
+
+std::vector<double> poisson_arrivals(std::size_t count, double rate_qps,
+                                     std::uint64_t seed) {
+  CCA_CHECK_MSG(rate_qps > 0.0, "arrival rate must be > 0");
+  common::Rng rng(seed ^ 0x51ABCDEF1234ULL);
+  const double mean_gap_ms = 1000.0 / rate_qps;
+  std::vector<double> arrival_ms(count);
+  double clock = 0.0;
+  for (double& at : arrival_ms) {
+    clock += -std::log(1.0 - rng.next_double()) * mean_gap_ms;
+    at = clock;
   }
+  return arrival_ms;
+}
+
+ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
+                         const trace::QueryTrace& trace, OperationKind kind,
+                         std::vector<std::uint64_t> keyword_bytes,
+                         const LatencyModel& latency, ReplayCapture* capture,
+                         QueryRange range) {
+  range.end = std::min(range.end, trace.size());
+  CCA_CHECK_MSG(range.begin <= range.end,
+                "query range starts at " << range.begin << ", past its end "
+                                         << range.end);
+  const std::shared_ptr<const search::QueryProfile> profile =
+      search::QueryProfile::of(index, trace, kind, keyword_bytes);
+  const core::PlacementMap& map = cluster.map();
+  const auto placement = [&map](trace::KeywordId k) { return map.resolve(k); };
+  NoCounters none;
+  const ReplayStats stats = replay_sharded(
+      cluster, trace, range, kind, latency, capture, none, [&](NoCounters&) {
+        return [&](std::size_t q, const auto& observer) {
+          return QueryCharge{profile->walk(q, placement, observer)};
+        };
+      });
 
   // Replay accounting, recorded once per trace after the join. Bytes are
   // split by operation kind so the figure benches (intersection vs Bloom
@@ -181,14 +224,25 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
 
 namespace {
 
-/// Per-shard accumulator for the fault replay (counter fields of
-/// FaultReplayStats plus the per-query vectors merged in shard order).
-struct FaultShard {
-  ClusterDelta delta;
-  FaultReplayStats partial;
+/// The fault replay's tallies beyond ReplayStats, merged in shard order.
+struct FaultCounters {
+  std::size_t fully_served = 0;
+  std::size_t degraded = 0;
+  std::size_t failed = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t failovers = 0;
+  std::uint64_t unserved_keywords = 0;
   double coverage_sum = 0.0;
-  std::vector<double> per_query_bytes;
-  std::vector<double> per_query_latency;
+
+  void add(const FaultCounters& shard) {
+    fully_served += shard.fully_served;
+    degraded += shard.degraded;
+    failed += shard.failed;
+    retries += shard.retries;
+    failovers += shard.failovers;
+    unserved_keywords += shard.unserved_keywords;
+    coverage_sum += shard.coverage_sum;
+  }
 };
 
 /// Jitter token of one keyword fetch: unique per (query, keyword) and
@@ -204,7 +258,9 @@ FaultReplayStats replay_trace_with_faults(Cluster& cluster,
                                           const search::InvertedIndex& index,
                                           const trace::QueryTrace& trace,
                                           const FaultReplayConfig& config) {
-  CCA_CHECK_MSG(config.arrival_rate_qps > 0.0, "arrival rate must be > 0");
+  const std::vector<trace::Query>& queries = trace.queries();
+  const std::vector<double> arrival_ms = poisson_arrivals(
+      queries.size(), config.arrival_rate_qps, config.arrival_seed);
   if (config.faults)
     CCA_CHECK_MSG(config.faults->num_nodes() == cluster.num_nodes(),
                   "fault schedule covers " << config.faults->num_nodes()
@@ -216,77 +272,43 @@ FaultReplayStats replay_trace_with_faults(Cluster& cluster,
   // Degraded queries execute live on their served sub-query.
   const search::QueryEngine engine(index);
   const core::PlacementMap& map = cluster.map();
-  const std::vector<trace::Query>& queries = trace.queries();
-  const std::size_t max_width = max_query_width(queries);
+  std::size_t max_width = 0;
+  for (const trace::Query& q : queries)
+    max_width = std::max(max_width, q.size());
   const int num_nodes = cluster.num_nodes();
   const int degree = map.degree();
   const bool fully_replicated = degree == num_nodes - 1;
 
-  // Arrival instants, drawn sequentially so the timeline is identical for
-  // any thread count (same procedure as sim/event_sim).
-  std::vector<double> arrival_ms(queries.size(), 0.0);
-  {
-    common::Rng rng(config.arrival_seed ^ 0x51ABCDEF1234ULL);
-    const double mean_gap_ms = 1000.0 / config.arrival_rate_qps;
-    double clock = 0.0;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      clock += -std::log(1.0 - rng.next_double()) * mean_gap_ms;
-      arrival_ms[q] = clock;
-    }
-  }
-
-  const auto chunks = common::chunk_ranges(queries.size(), kShardGrain);
-  std::vector<FaultShard> shards(chunks.size());
-  common::parallel_for(0, chunks.size(), 1, [&](std::size_t c) {
-    const auto [begin, end] = chunks[c];
-    FaultShard& shard = shards[c];
-    shard.delta = ClusterDelta(num_nodes);
-    shard.per_query_bytes.reserve(end - begin);
-    shard.per_query_latency.reserve(end - begin);
-
+  // One body per shard. Its buffers — the served sub-query and its
+  // resolved sets (the full set for fully replicated keywords, else the
+  // singleton of whichever replica answered) and the live-execution
+  // scratch — are reserved to the trace's widest query, so the loop never
+  // grows them.
+  const auto make_body = [&](FaultCounters& counts) {
     std::vector<char> alive(static_cast<std::size_t>(num_nodes), 1);
-    // Scratch per query: the served sub-query and its resolved sets — the
-    // full (everywhere) set for fully replicated keywords, else the
-    // singleton of whichever replica answered. Reserved to the trace's
-    // widest query so the loop never grows them.
     trace::Query sub;
-    std::vector<core::ReplicaSet> resolved;  // parallel to sub.keywords
     sub.keywords.reserve(max_width);
+    std::vector<core::ReplicaSet> resolved;  // parallel to sub.keywords
     resolved.reserve(max_width);
     search::QueryScratch scratch;
     scratch.reserve(max_width, engine.max_postings());
     scratch.begin_epoch(map.cache_token());
-
-    double query_latency = 0.0;
-    const bool parallel_fanout = config.kind == OperationKind::kUnion;
-    const auto observer = [&](int from, int to, std::uint64_t bytes) {
-      shard.delta.record_transfer(from, to, bytes);
-      const double ms = config.latency.transfer_ms(bytes);
-      query_latency =
-          parallel_fanout ? std::max(query_latency, ms) : query_latency + ms;
-    };
-    const auto placement = [&](trace::KeywordId k) {
-      for (std::size_t i = 0; i < sub.keywords.size(); ++i)
-        if (sub.keywords[i] == k) return resolved[i];
-      // Unreachable: the engine only asks about sub's keywords.
-      return core::ReplicaSet::single(0);
-    };
-
-    for (std::size_t q = begin; q < end; ++q) {
+    return [&, alive = std::move(alive), sub = std::move(sub),
+            resolved = std::move(resolved), scratch = std::move(scratch)](
+               std::size_t q, const auto& observer) mutable {
       const trace::Query& query = queries[q];
-      const double now = arrival_ms[q];
       int alive_count = num_nodes;
       if (config.faults) {
         for (int n = 0; n < num_nodes; ++n) {
           alive[static_cast<std::size_t>(n)] =
-              config.faults->alive(n, now) ? 1 : 0;
+              config.faults->alive(n, arrival_ms[q]) ? 1 : 0;
           if (!alive[static_cast<std::size_t>(n)]) --alive_count;
         }
       }
 
       sub.keywords.clear();
       resolved.clear();
-      double penalty_ms = 0.0;
+      QueryCharge charge;
       for (const trace::KeywordId k : query.keywords) {
         if (fully_replicated) {
           // A copy on every node: served wherever execution lands, with
@@ -295,7 +317,7 @@ FaultReplayStats replay_trace_with_faults(Cluster& cluster,
             sub.keywords.push_back(k);
             resolved.push_back(map.resolve(k));
           } else {
-            ++shard.partial.unserved_keywords;
+            ++counts.unserved_keywords;
           }
           continue;
         }
@@ -303,115 +325,81 @@ FaultReplayStats replay_trace_with_faults(Cluster& cluster,
         const int node = map.resolve(k).first_alive(
             alive, config.retry.max_attempts, &slot);
         const int failed_attempts =
-            node >= 0 ? slot
-                      : std::min(config.retry.max_attempts, degree + 1);
+            node >= 0 ? slot : std::min(config.retry.max_attempts, degree + 1);
         if (failed_attempts > 0) {
-          shard.partial.retries +=
-              static_cast<std::uint64_t>(failed_attempts);
-          penalty_ms +=
+          counts.retries += static_cast<std::uint64_t>(failed_attempts);
+          charge.penalty_ms +=
               config.retry.penalty_ms(failed_attempts, fetch_token(q, k));
         }
         if (node >= 0) {
-          if (slot > 0) ++shard.partial.failovers;
+          if (slot > 0) ++counts.failovers;
           sub.keywords.push_back(k);
           resolved.push_back(core::ReplicaSet::single(node));
         } else {
-          ++shard.partial.unserved_keywords;
+          ++counts.unserved_keywords;
         }
       }
 
-      query_latency = 0.0;
-      search::QueryCost cost;
-      if (sub.keywords.size() == query.size()) {
-        cost = profile->walk(q, placement, observer);
+      const auto placement = [&](trace::KeywordId k) {
+        for (std::size_t i = 0; i < sub.keywords.size(); ++i)
+          if (sub.keywords[i] == k) return resolved[i];
+        // Unreachable: the engine only asks about sub's keywords.
+        return core::ReplicaSet::single(0);
+      };
+      const bool fully_served = sub.keywords.size() == query.size();
+      if (fully_served) {
+        charge.cost = profile->walk(q, placement, observer);
       } else if (!sub.keywords.empty()) {
         switch (config.kind) {
           case OperationKind::kIntersection:
-            cost = engine.execute_intersection(sub, placement, observer,
-                                               &scratch);
+            charge.cost = engine.execute_intersection(sub, placement,
+                                                      observer, &scratch);
             break;
           case OperationKind::kIntersectionBloom:
-            cost = engine.execute_intersection_bloom(
+            charge.cost = engine.execute_intersection_bloom(
                 sub, placement, search::kDefaultBloomBitsPerKey, observer,
                 &scratch);
             break;
           case OperationKind::kUnion:
-            cost = engine.execute_union(sub, placement, observer, &scratch);
+            charge.cost =
+                engine.execute_union(sub, placement, observer, &scratch);
             break;
         }
       }
-      query_latency += penalty_ms;
+      // Only a fully served query counts as local.
+      charge.cost.local = charge.cost.local && fully_served;
 
-      const double coverage =
-          query.size() == 0
-              ? 1.0
-              : static_cast<double>(sub.keywords.size()) /
-                    static_cast<double>(query.size());
-      shard.coverage_sum += coverage;
-      ++shard.partial.base.queries;
-      if (sub.keywords.size() == query.size()) {
-        ++shard.partial.fully_served;
-        if (query.size() >= 2) {
-          ++shard.partial.base.multi_keyword_queries;
-          if (cost.local) ++shard.partial.base.local_queries;
-        }
-      } else if (!sub.keywords.empty()) {
-        ++shard.partial.degraded;
-        if (query.size() >= 2) ++shard.partial.base.multi_keyword_queries;
-      } else {
-        ++shard.partial.failed;
-        if (query.size() >= 2) ++shard.partial.base.multi_keyword_queries;
-      }
-      shard.partial.base.total_bytes += cost.bytes_transferred;
-      shard.partial.base.total_messages += cost.messages;
-      shard.per_query_bytes.push_back(
-          static_cast<double>(cost.bytes_transferred));
-      shard.per_query_latency.push_back(query_latency);
-    }
-  });
+      counts.coverage_sum +=
+          query.size() == 0 ? 1.0
+                            : static_cast<double>(sub.keywords.size()) /
+                                  static_cast<double>(query.size());
+      if (fully_served)
+        ++counts.fully_served;
+      else if (!sub.keywords.empty())
+        ++counts.degraded;
+      else
+        ++counts.failed;
+      return charge;
+    };
+  };
 
+  FaultCounters counts;
   FaultReplayStats stats;
-  double coverage_sum = 0.0;
-  std::vector<double> per_query_bytes;
-  std::vector<double> per_query_latency;
-  per_query_bytes.reserve(queries.size());
-  per_query_latency.reserve(queries.size());
-  for (FaultShard& shard : shards) {
-    stats.base.queries += shard.partial.base.queries;
-    stats.base.multi_keyword_queries += shard.partial.base.multi_keyword_queries;
-    stats.base.local_queries += shard.partial.base.local_queries;
-    stats.base.total_bytes += shard.partial.base.total_bytes;
-    stats.base.total_messages += shard.partial.base.total_messages;
-    stats.fully_served += shard.partial.fully_served;
-    stats.degraded += shard.partial.degraded;
-    stats.failed += shard.partial.failed;
-    stats.retries += shard.partial.retries;
-    stats.failovers += shard.partial.failovers;
-    stats.unserved_keywords += shard.partial.unserved_keywords;
-    coverage_sum += shard.coverage_sum;
-    per_query_bytes.insert(per_query_bytes.end(),
-                           shard.per_query_bytes.begin(),
-                           shard.per_query_bytes.end());
-    per_query_latency.insert(per_query_latency.end(),
-                             shard.per_query_latency.begin(),
-                             shard.per_query_latency.end());
-    cluster.apply(shard.delta);
-  }
-
-  if (!per_query_bytes.empty()) {
-    stats.base.mean_bytes_per_query = common::mean_of(per_query_bytes);
-    stats.base.p99_bytes_per_query = common::percentile(per_query_bytes, 99.0);
-    stats.base.mean_latency_ms = common::mean_of(per_query_latency);
-    stats.base.p99_latency_ms = common::percentile(per_query_latency, 99.0);
-  }
+  stats.base = replay_sharded(cluster, trace, QueryRange{0, queries.size()},
+                              config.kind, config.latency, nullptr, counts,
+                              make_body);
+  stats.fully_served = counts.fully_served;
+  stats.degraded = counts.degraded;
+  stats.failed = counts.failed;
+  stats.retries = counts.retries;
+  stats.failovers = counts.failovers;
+  stats.unserved_keywords = counts.unserved_keywords;
   if (stats.base.queries > 0) {
     stats.availability = static_cast<double>(stats.fully_served) /
                          static_cast<double>(stats.base.queries);
     stats.mean_coverage =
-        coverage_sum / static_cast<double>(stats.base.queries);
+        counts.coverage_sum / static_cast<double>(stats.base.queries);
   }
-  stats.base.max_storage_factor = cluster.max_storage_factor();
-  stats.base.storage_imbalance = cluster.storage_imbalance();
 
   if (common::metrics_enabled()) {
     auto& reg = common::MetricsRegistry::global();

@@ -88,6 +88,25 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
                          ReplayCapture* capture = nullptr,
                          QueryRange range = {});
 
+/// The replay merge: adds the counter fields of `part` (queries, byte and
+/// message totals) into `total`. Every replay path — the shard merge and
+/// the placement service's epoch segments — accumulates through it.
+void merge_replay_counts(ReplayStats& total, const ReplayStats& part);
+
+/// The replay finalize: the mean/p99 fields of `stats` from the raw
+/// per-query `series` (left at zero when it is empty), and the storage
+/// figures of `cluster`.
+void finalize_replay_stats(ReplayStats& stats, const ReplayCapture& series,
+                           const Cluster& cluster);
+
+/// The open-loop arrival clock of every evaluator that times queries (the
+/// fault replay, the placement service's churn replay, the event
+/// simulation): `count` instants, in ms, of a Poisson stream at
+/// `rate_qps` (> 0), drawn sequentially from `seed`, so a timeline is
+/// identical for any thread count.
+std::vector<double> poisson_arrivals(std::size_t count, double rate_qps,
+                                     std::uint64_t seed);
+
 // ---------------------------------------------------------------------------
 // Failure-aware replay.
 // ---------------------------------------------------------------------------
@@ -143,8 +162,8 @@ struct FaultReplayStats {
 /// fault-resolved replica sets; only degraded ones execute live.
 ///
 /// Liveness is evaluated at the query's arrival instant (transitions
-/// mid-query are not modelled). Sharded like replay_trace: bit-identical
-/// statistics for any thread count.
+/// mid-query are not modelled). Runs on replay_trace's sharded driver:
+/// bit-identical statistics for any thread count.
 FaultReplayStats replay_trace_with_faults(Cluster& cluster,
                                           const search::InvertedIndex& index,
                                           const trace::QueryTrace& trace,

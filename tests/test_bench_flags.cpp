@@ -12,18 +12,12 @@
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "core/strategy.hpp"
-#include "search/block_postings.hpp"
 
 namespace cca::bench {
 namespace {
 
-// from_cli applies --codec process-wide; snapshot and restore the
-// default so these tests cannot leak into search tests in the same binary.
 class BenchFlags : public ::testing::Test {
  protected:
-  void SetUp() override { codec_ = search::default_posting_codec(); }
-  void TearDown() override { search::set_default_posting_codec(codec_); }
-
   static TestbedConfig parse(std::initializer_list<const char*> flags) {
     std::vector<const char*> argv{"bench"};
     argv.insert(argv.end(), flags.begin(), flags.end());
@@ -40,9 +34,6 @@ class BenchFlags : public ::testing::Test {
     ADD_FAILURE() << "expected common::Error";
     return {};
   }
-
- private:
-  search::PostingCodec codec_{};
 };
 
 TEST_F(BenchFlags, RetiredLpFlagsAreUnknownFlags) {
@@ -65,22 +56,35 @@ TEST_F(BenchFlags, RetiredLpFlagsAreUnknownFlags) {
   }
 }
 
-TEST_F(BenchFlags, CodecAcceptsBothValuesAndDefaultsToBlock) {
-  parse({});
-  EXPECT_EQ(search::default_posting_codec(), search::PostingCodec::kBlock);
-  parse({"--codec=varint"});
-  EXPECT_EQ(search::default_posting_codec(), search::PostingCodec::kVarint);
-  parse({"--codec=block"});
-  EXPECT_EQ(search::default_posting_codec(), search::PostingCodec::kBlock);
+TEST_F(BenchFlags, RetiredCodecFlagIsAnUnknownFlag) {
+  // The posting codec is a value of the engine that serves, not a flag.
+  const char* argv[] = {"bench", "--codec=varint"};
+  const common::CliArgs args(2, argv);
+  TestbedConfig::from_cli(args);
+  try {
+    args.reject_unused();
+    ADD_FAILURE() << "--codec was accepted";
+  } catch (const common::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag --codec"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
-TEST_F(BenchFlags, CodecBadValueNamesFlagAndSuggests) {
-  const std::string message = error_of({"--codec=blok"});
-  EXPECT_NE(message.find("--codec"), std::string::npos) << message;
-  EXPECT_NE(message.find("'blok'"), std::string::npos) << message;
-  EXPECT_NE(message.find("'varint'"), std::string::npos) << message;
-  EXPECT_NE(message.find("did you mean 'block'?"), std::string::npos)
-      << message;
+TEST_F(BenchFlags, BarePathFlagsNameTheFlag) {
+  // A bare --json/--metrics would read as the boolean "true" and name a
+  // file `true`; it must fail at parse time instead.
+  for (const char* flag : {"--json", "--metrics"}) {
+    const std::string message = error_of({flag, "--seed=2"});
+    EXPECT_NE(message.find(std::string(flag) + " needs a path"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(error_of({flag}).find(flag), std::string::npos);
+  }
+  EXPECT_EQ(parse({"--json=out.json"}).json_path, "out.json");
+  EXPECT_EQ(parse({"--json", "j.json"}).json_path, "j.json");
+  EXPECT_EQ(parse({"--json", "--json=a.json"}).json_path, "a.json");
+  EXPECT_EQ(parse({}).json_path, "");
 }
 
 TEST_F(BenchFlags, HashTailAcceptsBothRules) {

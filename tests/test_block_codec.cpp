@@ -3,8 +3,8 @@
 // fuzz seeds and every width extreme, block-max intersection equivalence
 // against std::set_intersection, decoded-block-cache semantics (warm ==
 // cold, capacity overflow, epoch invalidation), and engine-level
-// codec invariance — QueryCost must be identical under --codec=block and
-// --codec=varint for any query and placement.
+// codec invariance — QueryCost must be identical under a block engine and
+// a varint engine for any query and placement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,12 +25,6 @@
 
 namespace cca::search {
 namespace {
-
-/// Restores the process-wide codec default when a test returns.
-struct CodecGuard {
-  PostingCodec saved = default_posting_codec();
-  ~CodecGuard() { set_default_posting_codec(saved); }
-};
 
 std::vector<std::uint64_t> random_ids(common::Rng& rng, std::size_t n,
                                       std::uint64_t max_gap) {
@@ -113,14 +107,7 @@ TEST(BlockCodec, EncodeRejectsNonIncreasingIds) {
   EXPECT_THROW(BlockPostings::encode({3, 2}), common::Error);
 }
 
-TEST(BlockCodec, ParseAndNameAgree) {
-  PostingCodec codec;
-  ASSERT_TRUE(parse_posting_codec("block", &codec));
-  EXPECT_EQ(codec, PostingCodec::kBlock);
-  ASSERT_TRUE(parse_posting_codec("varint", &codec));
-  EXPECT_EQ(codec, PostingCodec::kVarint);
-  EXPECT_FALSE(parse_posting_codec("blok", &codec));
-  EXPECT_FALSE(parse_posting_codec("", &codec));
+TEST(BlockCodec, CodecNamesAreStable) {
   EXPECT_STREQ(posting_codec_name(PostingCodec::kBlock), "block");
   EXPECT_STREQ(posting_codec_name(PostingCodec::kVarint), "varint");
 }
@@ -367,13 +354,18 @@ TEST(QueryEngineCodec, ScratchAndScratchlessAgree) {
   }
 }
 
-TEST(QueryEngineCodec, DefaultCodecKnobSelectsTheEngineCodec) {
-  CodecGuard guard;
+TEST(QueryEngineCodec, CodecIsAConstructorValue) {
+  // Block unless the engine is built with another codec; the keyword-size
+  // override serves from block too.
   const search::InvertedIndex index = small_index(24);
-  set_default_posting_codec(PostingCodec::kVarint);
-  EXPECT_EQ(QueryEngine(index).compressed().codec(), PostingCodec::kVarint);
-  set_default_posting_codec(PostingCodec::kBlock);
   EXPECT_EQ(QueryEngine(index).compressed().codec(), PostingCodec::kBlock);
+  EXPECT_EQ(QueryEngine(index, PostingCodec::kVarint).compressed().codec(),
+            PostingCodec::kVarint);
+  EXPECT_EQ(QueryEngine(index, std::vector<std::uint64_t>(
+                                   index.vocabulary_size(), 8))
+                .compressed()
+                .codec(),
+            PostingCodec::kBlock);
 }
 
 }  // namespace

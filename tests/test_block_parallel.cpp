@@ -1,9 +1,10 @@
 // Replay determinism under the block data plane: every ReplayStats field
-// must be bit-identical across --threads={1,2,8} AND across
-// --codec={block,varint}. Thread count moves the shard boundaries, which
-// moves which shard's decoded-block cache serves each query warm or cold
-// — so this is exactly the warm/cold byte-identity contract, scrutinised
-// under TSan via the sanitize label.
+// must be bit-identical across --threads={1,2,8}, and the replay's
+// answers must equal a live engine's under either codec (block and
+// varint). Thread count moves the shard boundaries, which moves which
+// shard's decoded-block cache serves each query warm or cold — so this is
+// exactly the warm/cold byte-identity contract, scrutinised under TSan
+// via the sanitize label.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include "common/parallel.hpp"
 #include "search/block_postings.hpp"
 #include "search/inverted_index.hpp"
+#include "search/query_engine.hpp"
 #include "sim/cluster.hpp"
 #include "sim/replay.hpp"
 #include "trace/documents.hpp"
@@ -20,17 +22,49 @@
 namespace cca {
 namespace {
 
-/// Restores the default pool size and codec when a test returns.
-struct ThreadsAndCodecGuard {
-  search::PostingCodec saved = search::default_posting_codec();
-  ~ThreadsAndCodecGuard() {
-    common::set_global_threads(0);
-    search::set_default_posting_codec(saved);
-  }
+/// Restores the default pool size when a test returns.
+struct ThreadsGuard {
+  ~ThreadsGuard() { common::set_global_threads(0); }
 };
 
+/// A live engine's totals over the whole trace, query by query.
+struct LiveTotals {
+  std::uint64_t bytes = 0;
+  std::uint64_t messages = 0;
+  std::size_t local_queries = 0;
+};
+
+LiveTotals live_totals(const search::QueryEngine& engine,
+                       const trace::QueryTrace& trace,
+                       const std::vector<int>& placement,
+                       sim::OperationKind kind) {
+  const auto place = [&placement](trace::KeywordId k) {
+    return core::ReplicaSet::single(placement[k]);
+  };
+  LiveTotals totals;
+  for (const trace::Query& query : trace.queries()) {
+    search::QueryCost cost;
+    switch (kind) {
+      case sim::OperationKind::kIntersection:
+        cost = engine.execute_intersection(query, place);
+        break;
+      case sim::OperationKind::kIntersectionBloom:
+        cost = engine.execute_intersection_bloom(
+            query, place, search::kDefaultBloomBitsPerKey);
+        break;
+      case sim::OperationKind::kUnion:
+        cost = engine.execute_union(query, place);
+        break;
+    }
+    totals.bytes += cost.bytes_transferred;
+    totals.messages += cost.messages;
+    if (query.size() >= 2 && cost.local) ++totals.local_queries;
+  }
+  return totals;
+}
+
 TEST(BlockParallel, ReplayBitIdenticalAcrossThreadsAndCodecs) {
-  ThreadsAndCodecGuard guard;
+  ThreadsGuard guard;
   // 5000 queries span several 1024-query shards, so raising the thread
   // count genuinely reshuffles cache warm/cold patterns.
   trace::WorkloadConfig wcfg;
@@ -58,23 +92,26 @@ TEST(BlockParallel, ReplayBitIdenticalAcrossThreadsAndCodecs) {
                     sim::OperationKind::kIntersectionBloom,
                     sim::OperationKind::kUnion}) {
     std::vector<sim::ReplayStats> stats;
+    for (int threads : {1, 2, 8}) {
+      common::set_global_threads(threads);
+      // A fresh index per run: an index memoises its trace profiles, so
+      // this makes every run build the profile at its own thread count.
+      const search::InvertedIndex index = search::InvertedIndex::build(corpus);
+      sim::Cluster cluster(5, 1e9);
+      cluster.install_placement(placement, sizes);
+      stats.push_back(sim::replay_trace(cluster, index, trace, kind));
+    }
+    // The three runs must agree field-exact, and with a live engine under
+    // either codec: the codec and the cache change time, never answers.
+    const search::InvertedIndex index = search::InvertedIndex::build(corpus);
     for (search::PostingCodec codec :
          {search::PostingCodec::kBlock, search::PostingCodec::kVarint}) {
-      search::set_default_posting_codec(codec);
-      for (int threads : {1, 2, 8}) {
-        common::set_global_threads(threads);
-        // A fresh index per run: an index memoises its trace profiles, so
-        // this makes every run build the profile under its own codec and
-        // thread count.
-        const search::InvertedIndex index =
-            search::InvertedIndex::build(corpus);
-        sim::Cluster cluster(5, 1e9);
-        cluster.install_placement(placement, sizes);
-        stats.push_back(sim::replay_trace(cluster, index, trace, kind));
-      }
+      const LiveTotals live = live_totals(search::QueryEngine(index, codec),
+                                          trace, placement, kind);
+      EXPECT_EQ(live.bytes, stats[0].total_bytes);
+      EXPECT_EQ(live.messages, stats[0].total_messages);
+      EXPECT_EQ(live.local_queries, stats[0].local_queries);
     }
-    // All six runs (2 codecs x 3 thread counts) must agree field-exact:
-    // the codec and the cache change time, never answers.
     for (std::size_t i = 1; i < stats.size(); ++i) {
       EXPECT_EQ(stats[i].queries, stats[0].queries);
       EXPECT_EQ(stats[i].multi_keyword_queries,
@@ -93,8 +130,8 @@ TEST(BlockParallel, ReplayBitIdenticalAcrossThreadsAndCodecs) {
   }
 }
 
-TEST(BlockParallel, FaultReplayBitIdenticalAcrossThreadsAndCodecs) {
-  ThreadsAndCodecGuard guard;
+TEST(BlockParallel, FaultReplayBitIdenticalAcrossThreads) {
+  ThreadsGuard guard;
   trace::WorkloadConfig wcfg;
   wcfg.vocabulary_size = 200;
   wcfg.num_topics = 20;
@@ -123,17 +160,13 @@ TEST(BlockParallel, FaultReplayBitIdenticalAcrossThreadsAndCodecs) {
   config.arrival_rate_qps = 5000.0;  // the crash window covers real traffic
 
   std::vector<sim::FaultReplayStats> stats;
-  for (search::PostingCodec codec :
-       {search::PostingCodec::kBlock, search::PostingCodec::kVarint}) {
-    search::set_default_posting_codec(codec);
-    for (int threads : {1, 2, 8}) {
-      common::set_global_threads(threads);
-      const search::InvertedIndex index = search::InvertedIndex::build(corpus);
-      sim::Cluster cluster(4, 1e9);
-      cluster.install_placement(placement, sizes);
-      stats.push_back(
-          sim::replay_trace_with_faults(cluster, index, trace, config));
-    }
+  for (int threads : {1, 2, 8}) {
+    common::set_global_threads(threads);
+    const search::InvertedIndex index = search::InvertedIndex::build(corpus);
+    sim::Cluster cluster(4, 1e9);
+    cluster.install_placement(placement, sizes);
+    stats.push_back(
+        sim::replay_trace_with_faults(cluster, index, trace, config));
   }
   for (std::size_t i = 1; i < stats.size(); ++i) {
     EXPECT_EQ(stats[i].base.total_bytes, stats[0].base.total_bytes);

@@ -32,13 +32,9 @@ namespace {
 constexpr std::size_t kVocab = 300;
 constexpr int kNodes = 5;
 
-/// Restores the default pool size and codec when a test returns.
-struct ThreadsAndCodecGuard {
-  PostingCodec saved = default_posting_codec();
-  ~ThreadsAndCodecGuard() {
-    common::set_global_threads(0);
-    set_default_posting_codec(saved);
-  }
+/// Restores the default pool size when a test returns.
+struct ThreadsGuard {
+  ~ThreadsGuard() { common::set_global_threads(0); }
 };
 
 trace::Corpus make_corpus() {
@@ -112,7 +108,7 @@ QueryCost execute_live(const QueryEngine& engine, OperationKind kind,
 }
 
 TEST(QueryProfile, WalkMatchesLiveExecution) {
-  ThreadsAndCodecGuard guard;
+  ThreadsGuard guard;
   common::set_global_threads(2);
   const InvertedIndex index = InvertedIndex::build(make_corpus());
   const trace::QueryTrace trace = make_trace(600);
@@ -136,11 +132,12 @@ TEST(QueryProfile, WalkMatchesLiveExecution) {
       },
   };
 
+  // The size override serves from block only, so it pairs with block.
   std::size_t remote = 0;
   for (const PostingCodec codec :
        {PostingCodec::kBlock, PostingCodec::kVarint}) {
-    set_default_posting_codec(codec);
     for (const bool override_sizes : {false, true}) {
+      if (override_sizes && codec != PostingCodec::kBlock) continue;
       const std::vector<std::uint64_t> keyword_bytes =
           override_sizes ? compressed : std::vector<std::uint64_t>{};
       const QueryEngine engine = override_sizes
@@ -318,7 +315,7 @@ TEST(QueryProfile, RangeReplayMatchesASegmentTraceAndSharesTheProfile) {
 }
 
 TEST(QueryProfile, ConcurrentReplaysOnOneIndexAgree) {
-  ThreadsAndCodecGuard guard;
+  ThreadsGuard guard;
   const trace::Corpus corpus = make_corpus();
   const trace::QueryTrace trace = make_trace(3000);
   const std::vector<int> plan = random_plan(7);
