@@ -11,6 +11,7 @@
 #include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "common/zipf.hpp"
 #include "core/component_solver.hpp"
 #include "core/lp_formulation.hpp"
@@ -23,6 +24,8 @@
 #include "search/compression.hpp"
 #include "search/inverted_index.hpp"
 #include "search/query_engine.hpp"
+#include "sim/cluster.hpp"
+#include "sim/replay.hpp"
 #include "trace/documents.hpp"
 #include "trace/pair_stats.hpp"
 #include "trace/workload.hpp"
@@ -331,9 +334,12 @@ void BM_ComponentLpSolve(benchmark::State& state) {
 BENCHMARK(BM_ComponentLpSolve)->Arg(25)->Arg(100)->Arg(400);
 
 /// The perfbench grid's data set at default size: vocab 4000, 6000
-/// documents of ~80 distinct words, 40k January queries over 200 topics.
+/// documents of ~80 distinct words, 40k January (training) and 40k
+/// February (replayed) queries over 200 topics.
 struct GridData {
   trace::QueryTrace january;
+  trace::QueryTrace february;
+  search::InvertedIndex index;
   std::vector<std::uint64_t> sizes;
 
   static const GridData& get() {
@@ -349,11 +355,12 @@ struct GridData {
       query_cfg.topic_size = 8;
       query_cfg.topic_coherence = 0.9;
       query_cfg.seed = 1;
-      GridData d;
-      d.january = trace::WorkloadModel(query_cfg).generate(40000, 7920);
-      d.sizes = search::InvertedIndex::build(
-                    trace::Corpus::generate(corpus_cfg))
-                    .index_sizes();
+      const trace::WorkloadModel model(query_cfg);
+      GridData d{model.generate(40000, 7920), model.generate(40000, 104731),
+                 search::InvertedIndex::build(
+                     trace::Corpus::generate(corpus_cfg)),
+                 {}};
+      d.sizes = d.index.index_sizes();
       return d;
     }();
     return data;
@@ -411,6 +418,47 @@ void BM_OptimizerCtorMemoHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizerCtorMemoHit)->Unit(benchmark::kMillisecond);
+
+/// One grid cell's replay (multilevel plan, scope 1000, 20 nodes) of the
+/// February trace whose profile is already memoised: the per-cell
+/// evaluation cost, a placement walk of each distinct query plus the
+/// mean/p99 finalize.
+void BM_ReplayTraceMemoHit(benchmark::State& state) {
+  const GridData& data = GridData::get();
+  constexpr int kNodes = 20;
+  const core::PartialOptimizer opt(data.january, data.sizes,
+                                   grid_config(kNodes, 1000));
+  core::PlacementMapConfig map_cfg;
+  map_cfg.num_nodes = kNodes;
+  const auto map = std::make_shared<const core::PlacementMap>(
+      core::PlacementMap::build(opt.run("multilevel").keyword_to_node,
+                                map_cfg));
+  double total_bytes = 0.0;
+  for (const std::uint64_t size : data.sizes)
+    total_bytes += static_cast<double>(size);
+  const auto replay = [&] {
+    sim::Cluster cluster(kNodes, 2.0 * total_bytes / kNodes);
+    cluster.install_placement(map, data.sizes);
+    return sim::replay_trace(cluster, data.index, data.february);
+  };
+  replay();  // builds the profile
+  for (auto _ : state) benchmark::DoNotOptimize(replay());
+}
+BENCHMARK(BM_ReplayTraceMemoHit)->Unit(benchmark::kMillisecond);
+
+/// The replay finalize's p99 over a grid-sized per-query byte series:
+/// 40k values, ~80% of them 0 (co-located queries), the rest spread.
+void BM_Percentile99(benchmark::State& state) {
+  common::Rng rng(11);
+  std::vector<double> values(40000);
+  for (double& v : values)
+    v = rng.next_below(5) == 0
+            ? static_cast<double>(8 * (1 + rng.next_below(20000)))
+            : 0.0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(common::percentile(values, 99.0));
+}
+BENCHMARK(BM_Percentile99)->Unit(benchmark::kMicrosecond);
 
 /// A plan's exception table over the grid's 4000-keyword vocabulary
 /// (20 nodes, md5 tail, about a quarter of the keywords pinned).

@@ -2,7 +2,11 @@
 # is identical across thread counts except the banner's threads= token
 # (the registry only observes; it never reorders, draws randomness, or
 # interleaves output). Driven by ctest as
-#   cmake -DBENCH=... -DTB_ARGS=... -DOUT_DIR=... -P <this>
+#   cmake -DBENCH=... -DTB_ARGS=... -DOUT_DIR=... -DTAG=<test name> -P <this>
+# TAG prefixes the metrics dumps, so tests sharing OUT_DIR can run at once.
+if(NOT TAG)
+  message(FATAL_ERROR "smoke_no_perturb.cmake needs -DTAG=<test name>")
+endif()
 function(run_bench out_var)
   execute_process(
     COMMAND ${BENCH} ${TB_ARGS} ${ARGN}
@@ -14,9 +18,9 @@ function(run_bench out_var)
 endfunction()
 
 run_bench(plain_t2 --threads=2)
-run_bench(metrics_t2 --threads=2 --metrics=${OUT_DIR}/smoke_perturb_t2.json)
-run_bench(metrics_t1 --threads=1 --metrics=${OUT_DIR}/smoke_perturb_t1.json)
-run_bench(metrics_t8 --threads=8 --metrics=${OUT_DIR}/smoke_perturb_t8.json)
+run_bench(metrics_t2 --threads=2 --metrics=${OUT_DIR}/${TAG}_t2.json)
+run_bench(metrics_t1 --threads=1 --metrics=${OUT_DIR}/${TAG}_t1.json)
+run_bench(metrics_t8 --threads=8 --metrics=${OUT_DIR}/${TAG}_t8.json)
 
 if(NOT plain_t2 STREQUAL metrics_t2)
   message(FATAL_ERROR "--metrics perturbed bench stdout")

@@ -40,13 +40,19 @@ double RunningStats::ci95_halfwidth() const {
 double percentile(std::vector<double> values, double p) {
   CCA_CHECK_MSG(!values.empty(), "percentile of empty sample set");
   CCA_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile p=" << p);
-  std::sort(values.begin(), values.end());
   if (values.size() == 1) return values[0];
   const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  // The order statistics of ranks lo and lo + 1 (clamped), by selection:
+  // after nth_element, everything past lo is >= values[lo], so the rank
+  // lo + 1 value is the least of that upper partition.
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), nth, values.end());
+  const double low = *nth;
+  const double high =
+      lo + 1 < values.size() ? *std::min_element(nth + 1, values.end()) : low;
+  return low * (1.0 - frac) + high * frac;
 }
 
 double mean_of(const std::vector<double>& values) {

@@ -36,7 +36,10 @@ class RunningStats {
 };
 
 /// Percentile of a sample set via linear interpolation between closest
-/// ranks; `p` in [0, 100]. The input is copied and sorted.
+/// ranks; `p` in [0, 100]. Selects the two closest-rank order statistics
+/// (std::nth_element, then the least of the upper partition) in linear
+/// time on the by-value copy, instead of sorting it; the result equals the
+/// sorted-order interpolation bit for bit.
 double percentile(std::vector<double> values, double p);
 
 /// Arithmetic mean of a sample set (0 for an empty set).

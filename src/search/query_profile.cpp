@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "common/check.hpp"
+#include "common/flat_hash.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "search/bloom.hpp"
@@ -39,6 +40,14 @@ std::uint64_t content_hash(const trace::QueryTrace& trace, OperationKind kind,
   h = mix(h, trace.size());
   for (const std::uint64_t lane : trace.digest()) h = mix(h, lane);
   return h;
+}
+
+/// Hash of one query's keyword span, as a FlatCounter64 key (never the
+/// reserved all-ones key).
+std::uint64_t span_hash(const trace::KeywordId* ids, std::size_t width) {
+  std::uint64_t h = width;
+  for (std::size_t i = 0; i < width; ++i) h = mix(h, ids[i]);
+  return h == common::FlatCounter64::kEmptyKey ? 0 : h;
 }
 
 }  // namespace
@@ -174,8 +183,40 @@ bool QueryProfile::matches(const trace::QueryTrace& trace, OperationKind kind,
   return true;
 }
 
+void QueryProfile::number_distinct() {
+  const std::size_t n = offsets_.size() - 1;
+  CCA_CHECK_MSG(n <= UINT32_MAX, "trace of " << n << " queries");
+  distinct_.resize(n);
+  representatives_.clear();
+  // Span hash -> id + 1. Equal hashes are confirmed against the id's
+  // representative; a collision moves on to the next key (hash + 1), so
+  // every span owns the first key of its chain that is free or its own.
+  common::FlatCounter64 ids;
+  for (std::size_t q = 0; q < n; ++q) {
+    const trace::KeywordId* span = keywords_.data() + offsets_[q];
+    const std::size_t width = offsets_[q + 1] - offsets_[q];
+    for (std::uint64_t key = span_hash(span, width);;
+         key = key + 1 == common::FlatCounter64::kEmptyKey ? 0 : key + 1) {
+      const std::uint64_t slot = ids.count(key);
+      if (slot == 0) {
+        representatives_.push_back(static_cast<std::uint32_t>(q));
+        ids.add(key, representatives_.size());
+        distinct_[q] = static_cast<std::uint32_t>(representatives_.size() - 1);
+        break;
+      }
+      const std::size_t rep = representatives_[slot - 1];
+      if (offsets_[rep + 1] - offsets_[rep] == width &&
+          std::equal(span, span + width, keywords_.data() + offsets_[rep])) {
+        distinct_[q] = static_cast<std::uint32_t>(slot - 1);
+        break;
+      }
+    }
+  }
+}
+
 void QueryProfile::fill(const InvertedIndex& index,
                         const trace::QueryTrace& trace) {
+  number_distinct();
   const QueryEngine engine = keyword_bytes_.empty()
                                  ? QueryEngine(index)
                                  : QueryEngine(index, keyword_bytes_);

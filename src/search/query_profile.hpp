@@ -49,6 +49,19 @@ class QueryProfile {
   /// Number of profiled queries (the trace's size).
   std::size_t size() const { return result_size_.size(); }
 
+  /// Distinct query contents. Trace queries with the same keyword span
+  /// (same ids, same order) share every profiled number, so walk() makes
+  /// the same observer calls for each of them under any placement. Ids
+  /// are dense, numbered in order of first occurrence; an evaluator walks
+  /// one representative per id and weights it by the id's multiplicity.
+  std::size_t distinct_count() const { return representatives_.size(); }
+  /// The distinct-content id of trace query q.
+  std::uint32_t distinct_id(std::size_t q) const { return distinct_[q]; }
+  /// The first trace query carrying distinct-content id `id`.
+  std::size_t representative(std::uint32_t id) const {
+    return representatives_[id];
+  }
+
   /// Query q's cost under `placement`: the same placement lookups, ship /
   /// no-ship decisions, observer calls (in order) and QueryCost as the
   /// matching QueryEngine::execute_* on trace query q.
@@ -63,6 +76,8 @@ class QueryProfile {
   QueryProfile(const trace::QueryTrace& trace, OperationKind kind,
                const std::vector<std::uint64_t>& keyword_bytes);
   void fill(const InvertedIndex& index, const trace::QueryTrace& trace);
+  /// Numbers the distinct keyword spans of keywords_ (one hash pass).
+  void number_distinct();
 
   /// True when the key fields equal (trace content, kind, keyword_bytes)
   /// exactly.
@@ -74,6 +89,11 @@ class QueryProfile {
   std::vector<std::uint64_t> keyword_bytes_;
   std::vector<std::size_t> offsets_;  // query q: [offsets_[q], offsets_[q+1])
   std::vector<trace::KeywordId> keywords_;  // the trace's ids, query order
+
+  // Distinct contents (placement-independent, set by fill()): per query its
+  // dense id, per id its first query.
+  std::vector<std::uint32_t> distinct_;
+  std::vector<std::uint32_t> representatives_;
 
   // Measured, one slot per keyword (CSR as above). Intersection kinds:
   // order_ is the execution order, step_bytes_[0] the first step's shipped

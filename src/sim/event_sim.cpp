@@ -56,8 +56,8 @@ EventSimStats simulate_load(const Cluster& cluster,
   CCA_CHECK_MSG(!trace.empty(), "empty trace");
   CCA_CHECK(config.num_queries >= 1);
 
-  // --- Each distinct trace query's transfer chain, walked once from the
-  // trace's memoised intersection profile. ---
+  // --- Each distinct trace query's transfer chain, walked once (through
+  // its representative) from the trace's memoised intersection profile. ---
   const std::shared_ptr<const search::QueryProfile> profile =
       search::QueryProfile::of(index, trace,
                                search::OperationKind::kIntersection);
@@ -66,18 +66,20 @@ EventSimStats simulate_load(const Cluster& cluster,
     return map.resolve(k);
   };
   ChainStore chains;
-  chains.offsets.reserve(trace.size() + 1);
+  chains.offsets.reserve(profile->distinct_count() + 1);
   const auto record = [&chains](int from, int to, std::uint64_t bytes) {
     (void)to;
     chains.transfers.push_back({from, bytes});
   };
-  for (std::size_t q = 0; q < trace.size(); ++q) {
-    profile->walk(q, placement, record);
+  for (std::uint32_t id = 0; id < profile->distinct_count(); ++id) {
+    profile->walk(profile->representative(id), placement, record);
     chains.offsets.push_back(
         static_cast<std::uint32_t>(chains.transfers.size()));
   }
-  // Arrival q runs trace query q mod |trace|.
-  const auto chain_of = [&trace](std::size_t q) { return q % trace.size(); };
+  // Arrival q runs trace query q mod |trace|, whose chain is its content's.
+  const auto chain_of = [&](std::size_t q) {
+    return profile->distinct_id(q % trace.size());
+  };
 
   // --- Event loop: non-preemptive FIFO per sender NIC. ---
   const double bytes_per_ms = config.nic_mbps * 1000.0 / 8.0;

@@ -184,9 +184,9 @@ ServiceReplayStats replay_trace_with_service(
                         map->num_nodes());
     cluster->install_placement(map, sizes);
     merge_replay_counts(
-        stats.base, replay_trace(*cluster, index, trace, config.kind, {},
-                                 config.latency, &capture,
-                                 QueryRange{begin, end}));
+        stats.base, detail::replay_counts(*cluster, index, trace, config.kind,
+                                          {}, config.latency, capture,
+                                          QueryRange{begin, end}));
   };
 
   // First query index arriving at or after `time_ms`, scanning from `from`

@@ -15,21 +15,13 @@ namespace cca::sim {
 
 namespace {
 
-/// Queries per replay shard. Chunk boundaries do not affect results (every
-/// merged quantity is either an exact integer sum or a per-query value
-/// concatenated back into trace order), so the grain is purely a
-/// throughput knob: large enough to amortize dispatch, small enough to
-/// load-balance a 40k-query default trace across a pool.
+/// Units (distinct queries, or queries) per replay shard. Chunk boundaries
+/// do not affect results (every merged quantity is either an exact integer
+/// sum or a per-unit value gathered back into trace order), so the grain is
+/// purely a throughput knob: large enough to amortize dispatch, small
+/// enough to load-balance a default trace's ~15k distinct queries across a
+/// pool.
 constexpr std::size_t kShardGrain = 1024;
-
-void append_series(ReplayCapture& into, const ReplayCapture& from) {
-  into.per_query_bytes.insert(into.per_query_bytes.end(),
-                              from.per_query_bytes.begin(),
-                              from.per_query_bytes.end());
-  into.per_query_latency.insert(into.per_query_latency.end(),
-                                from.per_query_latency.begin(),
-                                from.per_query_latency.end());
-}
 
 /// What a replay body reports for one query: its cost, and the client-side
 /// time it spent before any transfer (the fault replay's retry penalties).
@@ -39,84 +31,128 @@ struct QueryCharge {
 };
 
 /// One shard of the driver: a private transfer delta, the counter fields
-/// of ReplayStats, the body's own counters and the per-query series.
+/// of ReplayStats and the body's own counters.
 template <typename Counters>
 struct Shard {
   ClusterDelta delta;
   ReplayStats counts;
   Counters extra;
-  ReplayCapture series;
 };
 
-/// The sharded driver under both replays. The range is cut into shards
-/// run on the common::parallel pool; the cluster is only read during the
-/// parallel phase and mutated by merging the deltas in shard order after
-/// the join. Per-query values concatenate back into trace order, so means
-/// and percentiles are bit-identical to a sequential replay for any
-/// thread count.
+/// The driver's units when every query is evaluated on its own (the fault
+/// replay, whose resolved sets depend on each query's arrival instant):
+/// unit u is query begin + u, once.
+struct EachQuery {
+  QueryRange range;
+
+  std::size_t size() const { return range.end - range.begin; }
+  std::size_t query(std::size_t u) const { return range.begin + u; }
+  std::uint64_t multiplicity(std::size_t) const { return 1; }
+  std::size_t slot(std::size_t u) const { return u; }
+  std::size_t slots() const { return size(); }
+  std::size_t slot_of(std::size_t q) const { return q - range.begin; }
+};
+
+/// The driver's units for a placement-only walk: each distinct query
+/// content occurring in the range, walked once through its profile
+/// representative and weighted by its multiplicity in the range.
+struct EachDistinctQuery {
+  const search::QueryProfile& profile;
+  std::vector<std::uint32_t> ids;     // in order of first occurrence
+  std::vector<std::uint32_t> counts;  // per distinct id, over the range
+
+  EachDistinctQuery(const search::QueryProfile& p, QueryRange range)
+      : profile(p), counts(p.distinct_count(), 0) {
+    for (std::size_t q = range.begin; q < range.end; ++q)
+      if (counts[p.distinct_id(q)]++ == 0) ids.push_back(p.distinct_id(q));
+  }
+
+  std::size_t size() const { return ids.size(); }
+  std::size_t query(std::size_t u) const {
+    return profile.representative(ids[u]);
+  }
+  std::uint64_t multiplicity(std::size_t u) const { return counts[ids[u]]; }
+  std::size_t slot(std::size_t u) const { return ids[u]; }
+  std::size_t slots() const { return counts.size(); }
+  std::size_t slot_of(std::size_t q) const { return profile.distinct_id(q); }
+};
+
+/// The sharded driver under both replays. `units` says what it evaluates:
+/// each one stands for multiplicity(u) trace queries of the range. The
+/// units are cut into shards run on the common::parallel pool; the cluster
+/// is only read during the parallel phase and mutated by merging the
+/// deltas in shard order after the join. Transfers and counters are
+/// charged as exact integers x multiplicity, and each unit's bytes and
+/// latency are gathered back into trace order, so every statistic and
+/// the APPENDED per-query `series` are bit-identical to a sequential
+/// per-query replay for any thread count.
 ///
 /// `make_body(extra)` runs once per shard (per-shard buffers live in the
 /// body it returns); `body(q, observer)` evaluates query q, reporting every
 /// transfer to `observer`, which charges the shard's delta and sums the
 /// query's latency (maxes it for a union fan-out). Both are template
 /// parameters, so the per-query call is direct. `Counters` carries the
-/// body's own tallies; `extra.add(shard)` merges them in shard order.
-template <typename Counters, typename MakeBody>
+/// body's own per-call tallies (so it pairs with EachQuery only);
+/// `extra.add(shard)` merges them in shard order. Returns the counter
+/// fields; the caller finalizes.
+template <typename Counters, typename Units, typename MakeBody>
 ReplayStats replay_sharded(Cluster& cluster, const trace::QueryTrace& trace,
                            QueryRange range, OperationKind kind,
-                           const LatencyModel& latency,
-                           ReplayCapture* capture, Counters& extra,
+                           const LatencyModel& latency, const Units& units,
+                           ReplayCapture& series, Counters& extra,
                            const MakeBody& make_body) {
   const std::vector<trace::Query>& queries = trace.queries();
   const bool parallel_fanout = kind == OperationKind::kUnion;
-  const auto chunks =
-      common::chunk_ranges(range.end - range.begin, kShardGrain);
+  std::vector<double> unit_bytes(units.slots());
+  std::vector<double> unit_latency(units.slots());
+  const auto chunks = common::chunk_ranges(units.size(), kShardGrain);
   std::vector<Shard<Counters>> shards(chunks.size());
   common::parallel_for(0, chunks.size(), 1, [&](std::size_t c) {
-    const std::size_t begin = range.begin + chunks[c].first;
-    const std::size_t end = range.begin + chunks[c].second;
     Shard<Counters>& shard = shards[c];
     shard.delta = ClusterDelta(cluster.num_nodes());
-    shard.series.per_query_bytes.reserve(end - begin);
-    shard.series.per_query_latency.reserve(end - begin);
 
+    std::uint64_t weight = 1;
     double query_latency = 0.0;
     const auto observer = [&](int from, int to, std::uint64_t bytes) {
-      shard.delta.record_transfer(from, to, bytes);
+      shard.delta.record_transfer(from, to, bytes * weight);
       const double ms = latency.transfer_ms(bytes);
       query_latency =
           parallel_fanout ? std::max(query_latency, ms) : query_latency + ms;
     };
     auto body = make_body(shard.extra);
-    for (std::size_t q = begin; q < end; ++q) {
+    for (std::size_t u = chunks[c].first; u < chunks[c].second; ++u) {
+      const std::size_t q = units.query(u);
+      weight = units.multiplicity(u);
       query_latency = 0.0;
       const QueryCharge charge = body(q, observer);
-      ++shard.counts.queries;
+      shard.counts.queries += weight;
       if (queries[q].size() >= 2) {
-        ++shard.counts.multi_keyword_queries;
-        if (charge.cost.local) ++shard.counts.local_queries;
+        shard.counts.multi_keyword_queries += weight;
+        if (charge.cost.local) shard.counts.local_queries += weight;
       }
-      shard.counts.total_bytes += charge.cost.bytes_transferred;
-      shard.counts.total_messages += charge.cost.messages;
-      shard.series.per_query_bytes.push_back(
-          static_cast<double>(charge.cost.bytes_transferred));
-      shard.series.per_query_latency.push_back(query_latency +
-                                               charge.penalty_ms);
+      shard.counts.total_bytes += charge.cost.bytes_transferred * weight;
+      shard.counts.total_messages += charge.cost.messages * weight;
+      unit_bytes[units.slot(u)] =
+          static_cast<double>(charge.cost.bytes_transferred);
+      unit_latency[units.slot(u)] = query_latency + charge.penalty_ms;
     }
   });
 
   ReplayStats stats;
-  ReplayCapture series;
-  series.per_query_bytes.reserve(range.end - range.begin);
-  series.per_query_latency.reserve(range.end - range.begin);
   for (const Shard<Counters>& shard : shards) {
     merge_replay_counts(stats, shard.counts);
     extra.add(shard.extra);
-    append_series(series, shard.series);
     cluster.apply(shard.delta);
   }
-  finalize_replay_stats(stats, series, cluster);
-  if (capture) append_series(*capture, series);
+  const std::size_t base = series.per_query_bytes.size();
+  const std::size_t count = range.end - range.begin;
+  series.per_query_bytes.resize(base + count);
+  series.per_query_latency.resize(base + count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t slot = units.slot_of(range.begin + i);
+    series.per_query_bytes[base + i] = unit_bytes[slot];
+    series.per_query_latency[base + i] = unit_latency[slot];
+  }
   return stats;
 }
 
@@ -162,11 +198,13 @@ std::vector<double> poisson_arrivals(std::size_t count, double rate_qps,
   return arrival_ms;
 }
 
-ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
-                         const trace::QueryTrace& trace, OperationKind kind,
-                         std::vector<std::uint64_t> keyword_bytes,
-                         const LatencyModel& latency, ReplayCapture* capture,
-                         QueryRange range) {
+namespace detail {
+
+ReplayStats replay_counts(Cluster& cluster, const search::InvertedIndex& index,
+                          const trace::QueryTrace& trace, OperationKind kind,
+                          const std::vector<std::uint64_t>& keyword_bytes,
+                          const LatencyModel& latency, ReplayCapture& series,
+                          QueryRange range) {
   range.end = std::min(range.end, trace.size());
   CCA_CHECK_MSG(range.begin <= range.end,
                 "query range starts at " << range.begin << ", past its end "
@@ -175,21 +213,25 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
       search::QueryProfile::of(index, trace, kind, keyword_bytes);
   const core::PlacementMap& map = cluster.map();
   const auto placement = [&map](trace::KeywordId k) { return map.resolve(k); };
+  const EachDistinctQuery units(*profile, range);
   NoCounters none;
   const ReplayStats stats = replay_sharded(
-      cluster, trace, range, kind, latency, capture, none, [&](NoCounters&) {
+      cluster, trace, range, kind, latency, units, series, none,
+      [&](NoCounters&) {
         return [&](std::size_t q, const auto& observer) {
           return QueryCharge{profile->walk(q, placement, observer)};
         };
       });
 
-  // Replay accounting, recorded once per trace after the join. Bytes are
+  // Replay accounting, recorded once per call after the join. Bytes are
   // split by operation kind so the figure benches (intersection vs Bloom
-  // vs union) attribute traffic without re-parsing tables.
+  // vs union) attribute traffic without re-parsing tables; walks against
+  // queries is the distinct-query dedupe ratio.
   if (common::metrics_enabled()) {
     auto& reg = common::MetricsRegistry::global();
     static common::Counter& replays = reg.counter("sim.replay.calls");
     static common::Counter& queries_total = reg.counter("sim.replay.queries");
+    static common::Counter& walks = reg.counter("sim.replay.walks");
     static common::Counter& messages = reg.counter("sim.replay.messages");
     static common::Counter& bytes_intersection =
         reg.counter("sim.replay.bytes.intersection");
@@ -200,6 +242,7 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
         reg.histogram("sim.replay.max_storage_factor_pct");
     replays.add();
     queries_total.add(static_cast<std::int64_t>(stats.queries));
+    walks.add(static_cast<std::int64_t>(units.size()));
     messages.add(static_cast<std::int64_t>(stats.total_messages));
     switch (kind) {
       case OperationKind::kIntersection:
@@ -213,7 +256,29 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
         break;
     }
     storage_pct.observe(
-        static_cast<std::uint64_t>(100.0 * stats.max_storage_factor));
+        static_cast<std::uint64_t>(100.0 * cluster.max_storage_factor()));
+  }
+  return stats;
+}
+
+}  // namespace detail
+
+ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
+                         const trace::QueryTrace& trace, OperationKind kind,
+                         std::vector<std::uint64_t> keyword_bytes,
+                         const LatencyModel& latency, ReplayCapture* capture,
+                         QueryRange range) {
+  ReplayCapture series;
+  ReplayStats stats = detail::replay_counts(
+      cluster, index, trace, kind, keyword_bytes, latency, series, range);
+  finalize_replay_stats(stats, series, cluster);
+  if (capture) {
+    capture->per_query_bytes.insert(capture->per_query_bytes.end(),
+                                    series.per_query_bytes.begin(),
+                                    series.per_query_bytes.end());
+    capture->per_query_latency.insert(capture->per_query_latency.end(),
+                                      series.per_query_latency.begin(),
+                                      series.per_query_latency.end());
   }
   return stats;
 }
@@ -383,11 +448,14 @@ FaultReplayStats replay_trace_with_faults(Cluster& cluster,
     };
   };
 
+  const QueryRange all{0, queries.size()};
   FaultCounters counts;
   FaultReplayStats stats;
-  stats.base = replay_sharded(cluster, trace, QueryRange{0, queries.size()},
-                              config.kind, config.latency, nullptr, counts,
+  ReplayCapture series;
+  stats.base = replay_sharded(cluster, trace, all, config.kind,
+                              config.latency, EachQuery{all}, series, counts,
                               make_body);
+  finalize_replay_stats(stats.base, series, cluster);
   stats.fully_served = counts.fully_served;
   stats.degraded = counts.degraded;
   stats.failed = counts.failed;

@@ -63,22 +63,25 @@ struct ReplayCapture {
 /// search::QueryEngine.
 ///
 /// Profile-once: the trace's placement-independent execution (keyword
-/// order, shipped sizes, result sizes) comes from search::QueryProfile::of
-/// — built on the first replay of this (index, trace content, kind,
-/// keyword_bytes) and memoised by `index` — so a replay runs no
-/// intersection, only a placement walk per query. Costs and observer
-/// traffic are exactly the live QueryEngine::execute_* ones.
+/// order, shipped sizes, result sizes, distinct query contents) comes from
+/// search::QueryProfile::of — built on the first replay of this (index,
+/// trace content, kind, keyword_bytes) and memoised by `index` — so a
+/// replay runs no intersection. It walks each distinct query content of
+/// the range once, charges the cluster bytes x multiplicity, and gathers
+/// the per-query series back into trace order; p99s come from a linear
+/// selection (common::percentile). Costs and observer traffic are exactly
+/// those of running the live QueryEngine::execute_* on every query.
 ///
 /// `range` replays only those trace queries: the stats, the capture and
 /// the cluster's traffic cover the range alone, while the profile stays
 /// the whole trace's, so replaying one trace in segments (the placement
 /// service's epochs) shares a single memoised profile.
 ///
-/// Execution shards the trace across the common::parallel pool: each shard
-/// replays with a private ClusterDelta and per-query vectors, merged in
-/// shard order after the join. Every reported statistic is bit-identical
-/// to a sequential replay for any thread count. When `capture` is non-null
-/// the per-query series are APPENDED to it (callers accumulate across
+/// Execution shards the distinct queries across the common::parallel pool:
+/// each shard charges a private ClusterDelta, merged in shard order after
+/// the join. Every reported statistic is bit-identical to a sequential
+/// per-query replay for any thread count. When `capture` is non-null the
+/// per-query series are APPENDED to it (callers accumulate across
 /// segments).
 ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
                          const trace::QueryTrace& trace,
@@ -87,6 +90,21 @@ ReplayStats replay_trace(Cluster& cluster, const search::InvertedIndex& index,
                          const LatencyModel& latency = LatencyModel{},
                          ReplayCapture* capture = nullptr,
                          QueryRange range = {});
+
+namespace detail {
+
+/// replay_trace without its finalize: replays `range` into `cluster`,
+/// APPENDS the range's per-query series to `series` and returns only the
+/// counter fields (mean/p99 and storage figures stay zero). The placement
+/// service replays its epoch segments through it and finalizes once over
+/// the whole run.
+ReplayStats replay_counts(Cluster& cluster, const search::InvertedIndex& index,
+                          const trace::QueryTrace& trace, OperationKind kind,
+                          const std::vector<std::uint64_t>& keyword_bytes,
+                          const LatencyModel& latency, ReplayCapture& series,
+                          QueryRange range);
+
+}  // namespace detail
 
 /// The replay merge: adds the counter fields of `part` (queries, byte and
 /// message totals) into `total`. Every replay path — the shard merge and
